@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // mesh generation, DAG induction, level computation, the list-scheduling
-// engine (old per-direction-walk path vs. the flat TaskGraph engine, bucket
-// and heap ready queues), Algorithm 1's layered construction, and the
+// engine (old per-direction-walk path vs. the flat TaskGraph engine, on the
+// slot map and on the heap), Algorithm 1's layered construction, and the
 // multilevel partitioner. These back the paper's remark that the algorithms
 // run in near-linear time in the schedule length.
 //
@@ -55,11 +55,14 @@ const dag::SweepInstance& bench_instance() {
 
 /// Shared fixture for the list-scheduler benchmarks: one assignment and one
 /// random-delay priority vector, reused so old and new paths time the exact
-/// same scheduling problem.
+/// same scheduling problem. heap_priorities is the same vector times 2^20:
+/// the same (priority, task id) order, so the same schedule, but a span past
+/// the slot engine's bucket cap, so list_schedule runs it on the heap.
 struct SchedFixture {
   core::Assignment assignment;
   std::vector<core::TimeStep> delays;
   std::vector<std::int64_t> priorities;
+  std::vector<std::int64_t> heap_priorities;
 };
 
 const SchedFixture& sched_fixture(std::size_t m) {
@@ -72,6 +75,9 @@ const SchedFixture& sched_fixture(std::size_t m) {
   fix.assignment = core::random_assignment(bench_instance().n_cells(), m, rng);
   fix.delays = core::random_delays(bench_instance().n_directions(), rng);
   fix.priorities = core::random_delay_priorities(bench_instance(), fix.delays);
+  for (const std::int64_t p : fix.priorities) {
+    fix.heap_priorities.push_back(p * (std::int64_t{1} << 20));
+  }
   return cache.emplace(m, std::move(fix)).first->second;
 }
 
@@ -119,7 +125,8 @@ void BM_TaskGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskGraphBuild);
 
-/// New engine, kAuto ready queues (bucket for these priorities).
+/// New engine on the path the input picks (the slot map for these
+/// priorities).
 void BM_ListScheduler(benchmark::State& state) {
   const auto& inst = bench_instance();
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -136,14 +143,13 @@ void BM_ListScheduler(benchmark::State& state) {
 }
 BENCHMARK(BM_ListScheduler)->Arg(8)->Arg(64)->Arg(512);
 
-/// New engine forced onto binary heaps — isolates the bucket-queue gain.
+/// New engine on binary heaps — isolates the slot-map gain.
 void BM_ListSchedulerHeap(benchmark::State& state) {
   const auto& inst = bench_instance();
   const auto m = static_cast<std::size_t>(state.range(0));
   const SchedFixture& fix = sched_fixture(m);
   core::ListScheduleOptions options;
-  options.priorities = fix.priorities;
-  options.ready_queue = core::ReadyQueueKind::kHeap;
+  options.priorities = fix.heap_priorities;
   (void)inst.task_graph();
   for (auto _ : state) {
     auto schedule = core::list_schedule(inst, fix.assignment, m, options);
@@ -299,12 +305,13 @@ void write_throughput_json(const std::string& path) {
               core::list_schedule(inst, fix.assignment, m, options)
                   .makespan());
         }));
-    options.ready_queue = core::ReadyQueueKind::kHeap;
+    options.priorities = fix.heap_priorities;
     add("list_schedule_heap", time_per_run([&] {
           benchmark::DoNotOptimize(
               core::list_schedule(inst, fix.assignment, m, options)
                   .makespan());
         }));
+    options.priorities = fix.priorities;
     add("list_schedule_reference", time_per_run([&] {
           benchmark::DoNotOptimize(
               core::list_schedule_reference(inst, fix.assignment, m, options)

@@ -7,18 +7,16 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/sharded_schedule.hpp"
 #include "obs/obs.hpp"
 #include "sweep/task_graph.hpp"
 #include "util/arena.hpp"
-#include "util/simd.hpp"
 
 namespace sweep::core {
 namespace {
 
 using Task32 = dag::TaskGraph::Task;
 
-// Eligibility limits for the slot-map ready queues (the kAuto fast path).
+// Eligibility limits for the slot-map ready queues (the fast path).
 // Level-derived priorities span at most depth + k values, which is tiny;
 // descendant counts span up to n and fall back to the heap. The range and
 // total-bucket bounds cap the per-call histogram at (range + 1) * m
@@ -60,15 +58,15 @@ struct HeapRec {
   std::int64_t prio;
 };
 
-/// The generic engine, used with HeapReadyQueues. Semantics are identical to
-/// list_schedule_reference; the differences are the flat-CSR successor walk
-/// and the packed records. kGated compiles the release-time /
-/// cross-message-delay machinery out entirely for the common ungated call.
-template <bool kGated, typename ReadyQueues>
+/// The generic engine. Semantics are identical to list_schedule_reference;
+/// the differences are the flat-CSR successor walk and the packed records.
+/// kGated compiles the release-time / cross-message-delay machinery out
+/// entirely for the common ungated call.
+template <bool kGated>
 Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
                          std::size_t n_processors,
-                         const ListScheduleOptions& options, ReadyQueues& ready,
-                         std::vector<HeapRec>& rec) {
+                         const ListScheduleOptions& options,
+                         HeapReadyQueues& ready, std::vector<HeapRec>& rec) {
   SWEEP_OBS_SPAN("engine.heap.run");
   const std::size_t total = tg.n_tasks();
   Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
@@ -198,9 +196,6 @@ Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
 struct SlotScratch {
   std::vector<std::uint32_t> bucket_next;
   util::Arena arena;
-  std::vector<std::uint32_t> succ_batch;  // step's successor ids (ungated)
-  std::vector<std::uint32_t> ready_out;   // slots returned by the kernel
-  util::simd::BatchScratch batch_scratch;
 };
 
 SlotScratch& slot_scratch() {
@@ -350,8 +345,6 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
   still_active.reserve(n_processors);
   std::uint64_t scan_words = 0;
   std::size_t peak_active = 0;
-  const std::uint32_t* offsets = tg.offsets().data();
-  util::simd::BatchStats simd_stats;
 
   TimeStep now = 0;
   while (done < total) {
@@ -405,46 +398,17 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
     done += finished.size();
 
     for (Task32 task : finished) {
-      if constexpr (kGated) {
-        const std::uint32_t task_proc = (packed[task] >> 8) >> log2r;
-        for (Task32 succ : tg.successors(task)) {
+      [[maybe_unused]] const std::uint32_t task_proc =
+          (packed[task] >> 8) >> log2r;
+      for (Task32 succ : tg.successors(task)) {
+        if constexpr (kGated) {
           if (!earliest.empty() &&
               ((packed[succ] >> 8) >> log2r) != task_proc) {
             earliest[succ] = std::max(earliest[succ],
                                       now + 1 + options.cross_message_delay);
           }
-          if ((--packed[succ] & 0xFF) == 0) enqueue_ready(succ, now + 1);
         }
-      }
-    }
-    if constexpr (!kGated) {
-      // Batch every finished task's successors and retire the step's edge
-      // set with the SIMD decrement kernel (util/simd.hpp). The kernel
-      // decrements each packed word's low indegree byte by the id's
-      // multiplicity and hands back the slot payloads (word >> 8) of the
-      // words that reached zero; the zero-crossing set is order-invariant
-      // under decrements, so batching cannot change which slots get
-      // pushed. Prefetch the next finished task's CSR row header one
-      // iteration ahead — finished ids jump across the offsets lane.
-      std::vector<std::uint32_t>& batch = scratch.succ_batch;
-      batch.clear();
-      for (std::size_t i = 0; i < finished.size(); ++i) {
-        if (i + 1 < finished.size()) {
-          util::simd::prefetch_read(offsets + finished[i + 1]);
-        }
-        const auto succs = tg.successors(finished[i]);
-        batch.insert(batch.end(), succs.begin(), succs.end());
-      }
-      if (!batch.empty()) {
-        if (scratch.ready_out.size() < batch.size()) {
-          scratch.ready_out.resize(batch.size());
-        }
-        const std::size_t zeros = util::simd::decrement_packed_to_zero(
-            packed, batch.data(), batch.size(), scratch.ready_out.data(),
-            scratch.batch_scratch, &simd_stats);
-        for (std::size_t i = 0; i < zeros; ++i) {
-          push_slot(scratch.ready_out[i]);
-        }
+        if ((--packed[succ] & 0xFF) == 0) enqueue_ready(succ, now + 1);
       }
     }
     ++now;
@@ -452,8 +416,6 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
   run_phase.done();
   SWEEP_OBS_COUNTER_ADD("engine.slot.runs", 1);
   SWEEP_OBS_COUNTER_ADD("engine.slot.scan_words", scan_words);
-  SWEEP_OBS_COUNTER_ADD("engine.simd.batches", simd_stats.batches);
-  SWEEP_OBS_COUNTER_ADD("engine.simd.fallbacks", simd_stats.fallbacks);
   SWEEP_OBS_COUNTER_ADD("engine.pops", done);
   SWEEP_OBS_COUNTER_ADD("engine.steps", now);
   if (now > 0) {
@@ -519,35 +481,18 @@ Schedule list_schedule(const dag::TaskGraph& tg, const Assignment& assignment,
     min_priority = *lo;
     max_priority = *hi;
   }
-  const auto range = static_cast<std::uint64_t>(max_priority - min_priority);
-  // Bucketable = the priority span fits the (range + 1) * m bucket layout.
-  // The serial slot engine additionally needs indegrees to fit its packed
-  // (slot << 8) | indegree words; the sharded engine keeps a full u32
-  // indegree lane and has no such cap.
-  const bool bucketable = range <= kMaxBucketRange &&
-                          (range + 1) * n_processors <= kMaxTotalBuckets;
-  const bool slottable = bucketable && tg.max_indegree() <= kMaxPackedIndegree;
-  if (options.ready_queue == ReadyQueueKind::kBucket && !slottable) {
-    // The explicit kBucket request is about to be served by the heap; the
-    // fallback used to be silent, which hid misconfigured benchmarks.
-    SWEEP_OBS_COUNTER_ADD("engine.bucket_fallback", 1);
-  }
-  const bool use_slots =
-      options.ready_queue != ReadyQueueKind::kHeap && slottable;
+  // Unsigned subtraction: the span of two arbitrary int64 values may not fit
+  // an int64, but always fits a uint64.
+  const std::uint64_t range = static_cast<std::uint64_t>(max_priority) -
+                              static_cast<std::uint64_t>(min_priority);
+  // The input alone picks the engine: the slot engine when the priority span
+  // fits the (range + 1) * m bucket layout and every indegree fits the packed
+  // (slot << 8) | indegree word, the heap otherwise.
+  const bool use_slots = range <= kMaxBucketRange &&
+                         (range + 1) * n_processors <= kMaxTotalBuckets &&
+                         tg.max_indegree() <= kMaxPackedIndegree;
   const bool gated =
       !options.release_times.empty() || options.cross_message_delay > 0;
-
-  if (options.jobs != 1 && !gated && bucketable &&
-      options.ready_queue != ReadyQueueKind::kHeap &&
-      detail::resolve_engine_workers(options.jobs, n_processors) > 1) {
-    const auto width = static_cast<std::size_t>(range) + 1;
-    std::optional<Schedule> result = detail::sharded_list_schedule(
-        tg, assignment, n_processors, options.priorities, min_priority, width,
-        options.jobs);
-    if (result.has_value()) return *std::move(result);
-    // Padded slot space overflowed: fall through to the serial engines.
-    SWEEP_OBS_COUNTER_ADD("engine.sharded.fallbacks", 1);
-  }
 
   if (use_slots) {
     const auto width = static_cast<std::size_t>(range) + 1;

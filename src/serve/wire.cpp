@@ -70,7 +70,11 @@ class Reader {
       throw WireError(std::string("wire: truncated ") + what);
     }
     std::vector<T> values(static_cast<std::size_t>(count));
-    std::memcpy(values.data(), bytes_.data() + pos_, count * sizeof(T));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (count > 0) {
+      std::memcpy(values.data(), bytes_.data() + pos_, count * sizeof(T));
+    }
     pos_ += count * sizeof(T);
     return values;
   }

@@ -92,10 +92,9 @@ class TaskGraph {
   /// whether the packed slot-map ready queue applies).
   [[nodiscard]] std::uint32_t max_indegree() const { return max_indegree_; }
 
-  /// Raw CSR arrays (offsets() has n_tasks() + 1 entries). The sharded
-  /// engine drains whole successor runs [offsets()[t], offsets()[t+1])
-  /// from targets() in one contiguous read instead of going through the
-  /// per-task successors() span.
+  /// Raw CSR arrays (offsets() has n_tasks() + 1 entries): task t's
+  /// successors are targets()[offsets()[t] .. offsets()[t+1]). The artifact
+  /// writer stores them as-is.
   [[nodiscard]] std::span<const std::uint32_t> offsets() const {
     return offsets_;
   }

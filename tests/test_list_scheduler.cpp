@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "core/assignment.hpp"
 #include "core/priorities.hpp"
@@ -138,38 +140,40 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{64, 6, 7, 20}));
 
 // ---------------------------------------------------------------------------
-// Engine-identity tests: the slot-map fast path (kAuto), the heap fallback
-// (kHeap), the sharded work-stealing engine (jobs != 1), and the
-// per-direction-walk reference implementation must produce the exact same
-// schedule — same start time for every task, not merely the same makespan —
-// under every priority scheme and gating variant.
+// Engine-identity tests: the engine the input picks (the slot map for these
+// narrow priority spans), the heap fallback, and the per-direction-walk
+// reference implementation must produce the exact same schedule — same start
+// time for every task, not merely the same makespan — under every priority
+// scheme and gating variant.
+
+/// Priorities that route a call to the heap: p * 2^20, or t * 2^20 when p is
+/// empty. The (priority, task id) order is unchanged, so the schedule must
+/// be too, but any span > 0 now exceeds the slot engine's bucket cap.
+std::vector<std::int64_t> heap_priorities(std::span<const std::int64_t> p,
+                                          std::size_t n_tasks) {
+  std::vector<std::int64_t> q(n_tasks);
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    q[t] = (p.empty() ? static_cast<std::int64_t>(t) : p[t]) *
+           (std::int64_t{1} << 20);
+  }
+  return q;
+}
 
 void expect_identical_engines(const dag::SweepInstance& inst,
                               const Assignment& assignment, std::size_t m,
                               ListScheduleOptions options, const char* what) {
-  const Schedule slot = list_schedule(inst, assignment, m, options);
-  options.ready_queue = ReadyQueueKind::kHeap;
-  const Schedule heap = list_schedule(inst, assignment, m, options);
   const Schedule reference = list_schedule_reference(inst, assignment, m,
                                                      options);
-  ASSERT_EQ(slot.n_tasks(), reference.n_tasks());
+  const Schedule fast = list_schedule(inst, assignment, m, options);
+  const auto rescaled = heap_priorities(options.priorities, inst.n_tasks());
+  options.priorities = rescaled;
+  const Schedule heap = list_schedule(inst, assignment, m, options);
+  ASSERT_EQ(fast.n_tasks(), reference.n_tasks());
   for (TaskId t = 0; t < reference.n_tasks(); ++t) {
-    ASSERT_EQ(slot.start(t), reference.start(t))
-        << what << ": slot engine diverges at task " << t;
+    ASSERT_EQ(fast.start(t), reference.start(t))
+        << what << ": engine diverges at task " << t;
     ASSERT_EQ(heap.start(t), reference.start(t))
         << what << ": heap engine diverges at task " << t;
-  }
-  // jobs axis: 0 = all cores, 1 = serial, N = sharded with N workers.
-  // Gated or heap-only calls silently use the serial engines; either way
-  // the schedule may not depend on the jobs value.
-  options.ready_queue = ReadyQueueKind::kAuto;
-  for (std::size_t jobs : {0u, 1u, 2u, 8u}) {
-    options.jobs = jobs;
-    const Schedule s = list_schedule(inst, assignment, m, options);
-    for (TaskId t = 0; t < reference.n_tasks(); ++t) {
-      ASSERT_EQ(s.start(t), reference.start(t))
-          << what << ": jobs=" << jobs << " diverges at task " << t;
-    }
   }
 }
 
@@ -245,8 +249,8 @@ TEST(EngineIdentity, GeometricInstanceMatches) {
 }
 
 TEST(EngineIdentity, HugePriorityRangeFallsBackToHeap) {
-  // Range > 2^16 makes the slot engine ineligible; kAuto must silently take
-  // the heap path and still match the reference exactly.
+  // Range > 2^16 makes the slot engine ineligible; the call must take the
+  // heap path and still match the reference exactly.
   const auto inst = dag::random_instance(60, 3, 5, 1.5, 17);
   util::Rng rng(21);
   const Assignment assignment = random_assignment(inst.n_cells(), 6, rng);
@@ -257,6 +261,24 @@ TEST(EngineIdentity, HugePriorityRangeFallsBackToHeap) {
   ListScheduleOptions options;
   options.priorities = wide;
   expect_identical_engines(inst, assignment, 6, options, "wide range");
+}
+
+TEST(EngineIdentity, FullInt64PriorityRangeMatches) {
+  // max - min overflows int64 here; the engine must still pick the heap and
+  // match the reference.
+  const auto inst = dag::random_instance(30, 2, 4, 1.5, 19);
+  util::Rng rng(4);
+  const Assignment assignment = random_assignment(inst.n_cells(), 3, rng);
+  std::vector<std::int64_t> extreme(inst.n_tasks());
+  for (std::size_t t = 0; t < extreme.size(); ++t) {
+    extreme[t] = t % 3 == 0   ? std::numeric_limits<std::int64_t>::min()
+                 : t % 3 == 1 ? std::numeric_limits<std::int64_t>::max()
+                              : 0;
+  }
+  ListScheduleOptions options;
+  options.priorities = extreme;
+  EXPECT_EQ(list_schedule(inst, assignment, 3, options).starts(),
+            list_schedule_reference(inst, assignment, 3, options).starts());
 }
 
 TEST(EngineIdentity, NegativePrioritiesMatch) {
@@ -273,7 +295,7 @@ TEST(EngineIdentity, NegativePrioritiesMatch) {
   expect_identical_engines(inst, assignment, 4, options, "negative");
 }
 
-TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
+TEST(EngineIdentity, CornerShapesMatch) {
   util::Rng rng(77);
 
   // Single direction (k = 1).
@@ -282,12 +304,12 @@ TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
     const Assignment assignment = random_assignment(40, 4, rng);
     expect_identical_engines(inst, assignment, 4, {}, "k=1");
   }
-  // Single processor: the engine degenerates to one serial shard.
+  // Single processor: the schedule is serial.
   {
     const auto inst = dag::random_instance(30, 3, 5, 1.5, 13);
     expect_identical_engines(inst, Assignment(30, 0), 1, {}, "m=1");
   }
-  // Far more processors than tasks: most shards are permanently idle.
+  // Far more processors than tasks: most processors are permanently idle.
   {
     const auto inst = dag::random_instance(6, 2, 3, 1.0, 17);
     const Assignment assignment = random_assignment(6, 90, rng);
@@ -302,8 +324,8 @@ TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
   }
 }
 
-// The fallback-counter tests assert nonzero metric values, which only exist
-// when observability is compiled in (SWEEP_OBS=ON, the default).
+// The engine-counter assertions read metric values, which only exist when
+// observability is compiled in (SWEEP_OBS=ON, the default).
 #if !defined(SWEEP_OBS_DISABLE)
 std::uint64_t counter_value_of(const char* name) {
   const auto snap = obs::MetricsRegistry::instance().snapshot();
@@ -312,44 +334,50 @@ std::uint64_t counter_value_of(const char* name) {
   }
   return 0;
 }
+#endif
 
-TEST(ListScheduler, ExplicitBucketFallbackIsCounted) {
-  // An explicit kBucket request that the engine cannot honor (priority range
-  // too wide) must bump engine.bucket_fallback — it used to be silent.
+TEST(EngineIdentity, SlotSpaceOverflowFallsBackToHeap) {
+  // Every cell on processor 0 of m = 16384: ~1,200 tasks pad its slot region
+  // to 2^11, so m << 11 = 2^25 slots exceed the 2^24 cap. Every other slot
+  // condition holds, so only the slot-space check sends this call to the heap.
+  const auto inst = dag::random_instance(300, 4, 6, 1.5, 41);
+  ASSERT_GT(inst.n_tasks(), 1024u);
+  const std::size_t m = 16384;
+  const Assignment all_on_0(inst.n_cells(), 0);
+#if !defined(SWEEP_OBS_DISABLE)
   obs::MetricsRegistry::instance().reset();
   obs::set_metrics_enabled(true);
-  const auto inst = dag::random_instance(40, 2, 5, 1.5, 7);
-  util::Rng rng(3);
-  const Assignment assignment = random_assignment(inst.n_cells(), 4, rng);
-  std::vector<std::int64_t> wide(inst.n_tasks());
-  for (std::size_t t = 0; t < wide.size(); ++t) {
-    wide[t] = static_cast<std::int64_t>(t % 5) * 10000000;
-  }
-  ListScheduleOptions options;
-  options.priorities = wide;
-  options.ready_queue = ReadyQueueKind::kBucket;
-  const Schedule s = list_schedule(inst, assignment, 4, options);
-  EXPECT_TRUE(s.complete());
-  EXPECT_EQ(counter_value_of("engine.bucket_fallback"), 1u);
+#endif
+  const Schedule s = list_schedule(inst, all_on_0, m);
+#if !defined(SWEEP_OBS_DISABLE)
   obs::set_metrics_enabled(false);
+  EXPECT_EQ(counter_value_of("engine.slot.fallbacks"), 1u);
+  EXPECT_EQ(counter_value_of("engine.heap.runs"), 1u);
+#endif
+  EXPECT_EQ(s.starts(), list_schedule_reference(inst, all_on_0, m).starts());
 }
 
-TEST(ListScheduler, HonoredBucketRequestIsNotCounted) {
-  // The other branch: a narrow priority range is served by the slot engine
-  // and the fallback counter must stay at zero.
-  obs::MetricsRegistry::instance().reset();
-  obs::set_metrics_enabled(true);
+#if !defined(SWEEP_OBS_DISABLE)
+TEST(ListScheduler, InputPicksTheEngine) {
+  // Narrow level priorities run on the slot engine; the same order rescaled
+  // past the bucket cap runs on the heap, with no fallback counted.
   const auto inst = dag::random_instance(40, 2, 5, 1.5, 7);
   util::Rng rng(3);
   const Assignment assignment = random_assignment(inst.n_cells(), 4, rng);
   const auto level = level_priorities(inst);
+  const auto rescaled = heap_priorities(level, inst.n_tasks());
   ListScheduleOptions options;
+  obs::MetricsRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
   options.priorities = level;
-  options.ready_queue = ReadyQueueKind::kBucket;
-  const Schedule s = list_schedule(inst, assignment, 4, options);
-  EXPECT_TRUE(s.complete());
-  EXPECT_EQ(counter_value_of("engine.bucket_fallback"), 0u);
+  list_schedule(inst, assignment, 4, options);
   EXPECT_EQ(counter_value_of("engine.slot.runs"), 1u);
+  EXPECT_EQ(counter_value_of("engine.heap.runs"), 0u);
+  options.priorities = rescaled;
+  list_schedule(inst, assignment, 4, options);
+  EXPECT_EQ(counter_value_of("engine.slot.runs"), 1u);
+  EXPECT_EQ(counter_value_of("engine.heap.runs"), 1u);
+  EXPECT_EQ(counter_value_of("engine.slot.fallbacks"), 0u);
   obs::set_metrics_enabled(false);
 }
 #endif  // SWEEP_OBS_DISABLE

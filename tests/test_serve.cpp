@@ -111,6 +111,17 @@ TEST(Wire, ResponseRoundTrips) {
     EXPECT_EQ(back.query.starts, r.query.starts);
   }
   {
+    // An empty start array (a zero-task schedule) decodes to an empty
+    // vector, with no copy into its null data().
+    Response r;
+    r.status = 0;
+    r.type = MsgType::kQuery;
+    r.query.schedule_hash = 7;
+    const Response back = decode_response(encode_response(r));
+    EXPECT_TRUE(back.query.starts.empty());
+    EXPECT_EQ(back.query.schedule_hash, 7u);
+  }
+  {
     Response r;
     r.status = 0;
     r.type = MsgType::kStats;
