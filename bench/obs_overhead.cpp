@@ -9,8 +9,8 @@
 // same three modes; the armed serve path — phase histograms, quality
 // metrics, status counters — must stay under 1% over disarmed.
 //
-// Run directly (not via google-benchmark) so the three modes share the exact
-// same instance, assignment, and iteration structure:
+// One plain loop per mode, so the three modes share the exact same
+// instance, assignment, and iteration structure:
 //   obs_overhead [--n 20000] [--k 8] [--m 32] [--reps 30]
 
 #include <unistd.h>

@@ -1,6 +1,7 @@
 #include "core/kba.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "core/list_scheduler.hpp"
@@ -35,14 +36,10 @@ std::vector<std::int64_t> kba_priorities(const dag::SweepInstance& instance,
   }
   const std::size_t n = instance.n_cells();
   const std::size_t k = instance.n_directions();
-  const auto& levels = instance.levels();
+  const dag::TaskGraph& tg = instance.task_graph();
+  const std::span<const std::uint32_t> levels = tg.levels();
   // BIG must dominate any level so octants are strictly ordered.
-  std::int64_t big = 1;
-  for (DirectionId i = 0; i < k; ++i) {
-    for (CellId v = 0; v < n; ++v) {
-      big = std::max(big, static_cast<std::int64_t>(levels[i][v]) + 2);
-    }
-  }
+  const std::int64_t big = static_cast<std::int64_t>(tg.max_level()) + 2;
   auto octant = [&](DirectionId i) -> std::int64_t {
     const auto& d = directions.directions[i];
     return (d.x >= 0 ? 0 : 1) + 2 * (d.y >= 0 ? 0 : 1) + 4 * (d.z >= 0 ? 0 : 1);
@@ -51,7 +48,8 @@ std::vector<std::int64_t> kba_priorities(const dag::SweepInstance& instance,
   for (DirectionId i = 0; i < k; ++i) {
     const std::int64_t base = octant(i) * big;
     for (CellId v = 0; v < n; ++v) {
-      priorities[task_id(v, i, n)] = base + levels[i][v];
+      const std::size_t t = task_id(v, i, n);
+      priorities[t] = base + levels[t];
     }
   }
   return priorities;

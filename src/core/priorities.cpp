@@ -82,20 +82,30 @@ std::vector<TimeStep> random_delays(std::size_t n_directions, util::Rng& rng) {
 }
 
 std::vector<std::int64_t> level_priorities(const dag::SweepInstance& instance) {
-  const std::span<const std::uint32_t> level = instance.task_graph().levels();
+  return level_priorities(instance.task_graph());
+}
+
+std::vector<std::int64_t> level_priorities(const dag::TaskGraph& graph) {
+  const std::span<const std::uint32_t> level = graph.levels();
   return {level.begin(), level.end()};
 }
 
 std::vector<std::int64_t> random_delay_priorities(
     const dag::SweepInstance& instance, const std::vector<TimeStep>& delays,
     std::size_t jobs) {
-  if (delays.size() != instance.n_directions()) {
+  return random_delay_priorities(instance.task_graph(), delays, jobs);
+}
+
+std::vector<std::int64_t> random_delay_priorities(
+    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays,
+    std::size_t jobs) {
+  if (delays.size() != graph.n_directions()) {
     throw std::invalid_argument("random_delay_priorities: delays size != k");
   }
   SWEEP_OBS_TIMER("priorities.random_delay");
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
-  const std::span<const std::uint32_t> level = instance.task_graph().levels();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
+  const std::span<const std::uint32_t> level = graph.levels();
   std::vector<std::int64_t> priorities(n * k);
   util::parallel_for(
       k,

@@ -11,8 +11,7 @@
 // draw from the caller's Rng. Output is therefore byte-identical for any
 // `jobs` (0 = all cores, 1 = serial) and independent of direction iteration
 // order. The `*_reference` twins are preserved plain serial loops used by
-// the tests, the fuzz oracle bank, and bench/pipeline_throughput as
-// differential baselines.
+// the tests and the fuzz oracle bank as differential baselines.
 
 #include <cstdint>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "core/schedule.hpp"
 #include "core/types.hpp"
 #include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 #include "util/rng.hpp"
 
 namespace sweep::core {
@@ -32,10 +32,20 @@ std::vector<TimeStep> random_delays(std::size_t n_directions, util::Rng& rng);
 /// Priorities").
 std::vector<std::int64_t> level_priorities(const dag::SweepInstance& instance);
 
+/// TaskGraph-direct variant used by the serving path; identical result to
+/// the instance overload for instance.task_graph().
+std::vector<std::int64_t> level_priorities(const dag::TaskGraph& graph);
+
 /// Algorithm 2 priorities: Gamma(v,i) = level_i(v) + X_i, built in parallel
 /// across directions.
 std::vector<std::int64_t> random_delay_priorities(
     const dag::SweepInstance& instance, const std::vector<TimeStep>& delays,
+    std::size_t jobs = 0);
+
+/// TaskGraph-direct variant used by the serving path; identical result to
+/// the instance overload for instance.task_graph().
+std::vector<std::int64_t> random_delay_priorities(
+    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays,
     std::size_t jobs = 0);
 
 /// Preserved serial twin of random_delay_priorities.

@@ -352,10 +352,9 @@ Subgraph extract(const Graph& graph, const std::vector<VertexId>& vertices) {
 }
 
 /// The original hash-map extraction, kept verbatim as the reference
-/// recursion's implementation so bench/pipeline_throughput measures the
-/// production pipeline against the preserved baseline. Produces exactly the
-/// same subgraph as extract() — vertices and edges are visited in the same
-/// order; only the id-lookup structure differs.
+/// recursion's implementation. Produces exactly the same subgraph as
+/// extract() — vertices and edges are visited in the same order; only the
+/// id-lookup structure differs.
 Subgraph extract_reference(const Graph& graph,
                            const std::vector<VertexId>& vertices) {
   Subgraph sub;

@@ -43,9 +43,8 @@ Partition multilevel_partition(const Graph& graph,
                                const MultilevelOptions& options);
 
 /// Preserved serial recursion (same primitives, same per-subproblem seeds,
-/// original hash-map subgraph extraction); differential baseline for tests
-/// and bench/pipeline_throughput. Bit-identical to multilevel_partition for
-/// every seed.
+/// original hash-map subgraph extraction); differential baseline for the
+/// tests. Bit-identical to multilevel_partition for every seed.
 Partition multilevel_partition_reference(const Graph& graph,
                                          const MultilevelOptions& options);
 

@@ -229,27 +229,18 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
   if (obs_armed) SWEEP_OBS_HIST_RECORD("serve.lookup_ns", obs_lap());
 #endif
 
-  // Priority vectors replicate core/priorities.cpp exactly, including rng
-  // stream consumption, so the result is bit-identical to the in-process
-  // path (see the contract in service.hpp).
-  std::vector<std::int64_t> priorities(tg.n_tasks());
+  // The same priority builders and rng stream consumption as the
+  // in-process path, so the result is bit-identical to it (see the contract
+  // in service.hpp). jobs = 1 keeps a request on its server thread.
+  std::vector<std::int64_t> priorities;
   switch (query.scheme) {
-    case Scheme::kLevel: {
-      const std::span<const std::uint32_t> level = tg.levels();
-      for (std::size_t t = 0; t < priorities.size(); ++t) {
-        priorities[t] = static_cast<std::int64_t>(level[t]);
-      }
+    case Scheme::kLevel:
+      priorities = core::level_priorities(tg);
       break;
-    }
-    case Scheme::kRandomDelay: {
-      const std::vector<core::TimeStep> delays = core::random_delays(k, rng);
-      const std::span<const std::uint32_t> level = tg.levels();
-      for (std::size_t t = 0; t < priorities.size(); ++t) {
-        priorities[t] = static_cast<std::int64_t>(level[t]) +
-                        static_cast<std::int64_t>(delays[t / n]);
-      }
+    case Scheme::kRandomDelay:
+      priorities = core::random_delay_priorities(
+          tg, core::random_delays(k, rng), /*jobs=*/1);
       break;
-    }
     case Scheme::kDescendant: {
       if (!a.has_descendants()) {
         throw std::invalid_argument(
@@ -259,6 +250,7 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
       // (which burns it even on the exact path) to keep rng state aligned.
       (void)rng();
       const std::span<const std::uint64_t> counts = a.descendant_counts_flat();
+      priorities.resize(tg.n_tasks());
       for (std::size_t t = 0; t < priorities.size(); ++t) {
         priorities[t] = -static_cast<std::int64_t>(counts[t]);
       }

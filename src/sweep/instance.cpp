@@ -1,7 +1,7 @@
 #include "sweep/instance.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "sweep/dag_builder.hpp"
@@ -51,18 +51,10 @@ SweepInstance& SweepInstance::operator=(const SweepInstance& other) {
   return *this;
 }
 
-const std::vector<std::vector<std::uint32_t>>& SweepInstance::levels() const {
-  std::call_once(caches_->levels_once, [this] {
-    caches_->levels.reserve(dags_.size());
-    for (const SweepDag& g : dags_) caches_->levels.push_back(g.levels());
-  });
-  return caches_->levels;
-}
-
 const TaskGraph& SweepInstance::task_graph() const {
   std::call_once(caches_->task_graph_once, [this] {
     SWEEP_OBS_SCOPE("dag.task_graph.build");
-    caches_->task_graph = TaskGraph::build(n_cells_, dags_, levels());
+    caches_->task_graph = TaskGraph::build(n_cells_, dags_);
     SWEEP_OBS_COUNTER_ADD("dag.task_graph.builds", 1);
   });
   return caches_->task_graph;
@@ -80,14 +72,10 @@ const std::vector<std::uint64_t>& SweepInstance::exact_descendant_counts(
 }
 
 std::size_t SweepInstance::max_depth() const {
-  std::size_t depth = 0;
-  for (const auto& lv : levels()) {
-    if (lv.empty()) continue;  // a direction with no cells has no levels
-    std::uint32_t max_level = 0;
-    for (std::uint32_t l : lv) max_level = std::max(max_level, l);
-    depth = std::max(depth, static_cast<std::size_t>(max_level) + 1);
-  }
-  return depth;
+  // max_level() reads 0 both for a single level and for no tasks at all.
+  return n_tasks() == 0
+             ? 0
+             : static_cast<std::size_t>(task_graph().max_level()) + 1;
 }
 
 std::size_t SweepInstance::total_edges() const {

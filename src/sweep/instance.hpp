@@ -37,12 +37,9 @@ class SweepInstance {
   [[nodiscard]] const std::vector<SweepDag>& dags() const { return dags_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Levels of every task: result[i][v] = level of (v, i) in G_i.
-  /// Computed lazily on first call and cached; safe to call concurrently.
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& levels() const;
-
-  /// The flat all-tasks CSR consumed by the scheduling engine. Built lazily
-  /// on first call and cached; safe to call concurrently.
+  /// The flat all-tasks CSR consumed by the scheduling engine; its levels()
+  /// hold every task's level, level(v, i) at task id i * n_cells + v. Built
+  /// lazily on first call and cached; safe to call concurrently.
   [[nodiscard]] const TaskGraph& task_graph() const;
 
   /// Exact |descendants| of every cell in direction i (the tiled transitive
@@ -56,7 +53,8 @@ class SweepInstance {
   [[nodiscard]] const std::vector<std::uint64_t>& exact_descendant_counts(
       std::size_t i) const;
 
-  /// Max number of levels over all directions (D in the paper).
+  /// Max number of levels over all directions (D in the paper); 0 for an
+  /// instance without tasks.
   [[nodiscard]] std::size_t max_depth() const;
 
   /// Total number of precedence edges over all DAGs.
@@ -66,8 +64,6 @@ class SweepInstance {
   // Lazily computed, shared by concurrent schedule runs on one instance:
   // each member is built exactly once under its once_flag.
   struct LazyCaches {
-    std::once_flag levels_once;
-    std::vector<std::vector<std::uint32_t>> levels;
     std::once_flag task_graph_once;
     TaskGraph task_graph;
     // One flag + slot per direction (sized at construction; once_flag is

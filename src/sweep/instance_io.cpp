@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -122,6 +123,12 @@ SweepInstance load_instance(std::istream& in) {
       edge_list.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
     }
     dags.emplace_back(static_cast<std::size_t>(n), edge_list);
+    // SweepDag does not check acyclicity; a cycle left in would surface
+    // only later, as SweepDag::levels' logic_error.
+    if (!dags.back().is_acyclic()) {
+      throw std::runtime_error("load_instance: direction " +
+                               std::to_string(i) + " has a cycle");
+    }
   }
   return SweepInstance(static_cast<std::size_t>(n), std::move(dags), name);
 }

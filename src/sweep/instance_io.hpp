@@ -14,7 +14,8 @@ namespace sweep::dag {
 void save_instance(const SweepInstance& instance, std::ostream& out);
 void save_instance(const SweepInstance& instance, const std::string& path);
 
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, including a direction
+/// whose edges form a cycle.
 SweepInstance load_instance(std::istream& in);
 SweepInstance load_instance(const std::string& path);
 

@@ -108,9 +108,8 @@ TaskGraph& TaskGraph::operator=(TaskGraph&& other) noexcept {
   return *this;
 }
 
-TaskGraph TaskGraph::build(
-    std::size_t n_cells, const std::vector<SweepDag>& dags,
-    const std::vector<std::vector<std::uint32_t>>& levels) {
+TaskGraph TaskGraph::build(std::size_t n_cells,
+                           const std::vector<SweepDag>& dags) {
   const std::size_t k = dags.size();
   const std::size_t total = n_cells * k;
   constexpr std::size_t kMaxIndex =
@@ -122,9 +121,6 @@ TaskGraph TaskGraph::build(
   for (const SweepDag& g : dags) total_edges += g.n_edges();
   if (total_edges > kMaxIndex) {
     throw std::invalid_argument("TaskGraph: too many edges for 32-bit offsets");
-  }
-  if (levels.size() != k) {
-    throw std::invalid_argument("TaskGraph: levels size != n_directions");
   }
 
   TaskGraph tg;
@@ -139,7 +135,7 @@ TaskGraph TaskGraph::build(
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const SweepDag& g = dags[i];
-    const std::vector<std::uint32_t>& lv = levels[i];
+    const std::vector<std::uint32_t> lv = g.levels();
     const std::size_t base = i * n_cells;
     for (std::size_t v = 0; v < n_cells; ++v) {
       const std::size_t t = base + v;

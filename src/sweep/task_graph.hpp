@@ -13,7 +13,8 @@
 //   - per-task levels (the paper's level(v, i), flattened),
 //   - per-task cell ids (so processor lookup is one array read, no modulo).
 // It is built once per instance and cached on dag::SweepInstance (thread-safe
-// via std::once_flag) next to levels().
+// via std::once_flag); its level array is the instance's only copy of the
+// levels.
 //
 // Storage model: every accessor reads through a std::span view. build()
 // allocates owned vectors and binds the views to them; from_views() binds
@@ -46,10 +47,10 @@ class TaskGraph {
   TaskGraph& operator=(TaskGraph&& other) noexcept;
   ~TaskGraph() = default;
 
-  /// Builds the flat CSR from the per-direction DAGs. `levels[i][v]` must be
-  /// the level of cell v in direction i (as produced by SweepDag::levels).
-  static TaskGraph build(std::size_t n_cells, const std::vector<SweepDag>& dags,
-                         const std::vector<std::vector<std::uint32_t>>& levels);
+  /// Builds the flat CSR from the per-direction DAGs, computing each
+  /// direction's levels with SweepDag::levels (which throws std::logic_error
+  /// on a cycle).
+  static TaskGraph build(std::size_t n_cells, const std::vector<SweepDag>& dags);
 
   /// Borrows caller-owned CSR arrays without copying (the zero-copy artifact
   /// path). The spans must satisfy the build() invariants — offsets has

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "fuzz/scenario.hpp"
 #include "sweep/random_dag.hpp"
@@ -135,6 +136,26 @@ TEST(InstanceIo, RejectsBadInput) {
   EXPECT_THROW(load_instance(no_name), std::runtime_error);
   std::stringstream cut_name("sweepinst 2\nname 20 short");
   EXPECT_THROW(load_instance(cut_name), std::runtime_error);
+}
+
+// Regression (failed before): a cyclic direction loaded fine and only
+// failed later, in SweepDag::levels, with a logic_error ("graph has a
+// cycle") that callers treat as a bug rather than bad input.
+TEST(InstanceIo, RejectsCyclicDirection) {
+  // Direction 0 is a chain; direction 1 is the 3-cycle 0 -> 1 -> 2 -> 0.
+  std::stringstream cyclic(
+      "sweepinst 2\nname 3 cyc\n3 2\n2\n0 1\n1 2\n3\n0 1\n1 2\n2 0\n");
+  try {
+    (void)load_instance(cyclic);
+    FAIL() << "a cyclic direction was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("direction 1"), std::string::npos)
+        << e.what();
+  }
+
+  // A self-loop is a cycle too.
+  std::stringstream self_loop("sweepinst 2\nname 1 x\n2 1\n1\n1 1\n");
+  EXPECT_THROW(load_instance(self_loop), std::runtime_error);
 }
 
 TEST(InstanceIo, FileRoundTrip) {

@@ -38,10 +38,10 @@ TEST(RandomDelays, CoversRange) {
 TEST(LevelPriorities, MatchDagLevels) {
   const auto inst = two_dag_instance();
   const auto prio = level_priorities(inst);
-  const auto& levels = inst.levels();
   for (DirectionId i = 0; i < 2; ++i) {
+    const auto levels = inst.dag(i).levels();
     for (CellId v = 0; v < 9; ++v) {
-      EXPECT_EQ(prio[task_id(v, i, 9)], levels[i][v]);
+      EXPECT_EQ(prio[task_id(v, i, 9)], levels[v]);
     }
   }
 }

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/list_scheduler.hpp"
 #include "core/lower_bounds.hpp"
@@ -83,7 +85,8 @@ TEST(RandomDelay, Lemma2FewCopiesPerLayer) {
   const std::size_t n = 400;
   const std::size_t k = 32;
   const auto inst = dag::random_instance(n, k, 12, 2.0, 44);
-  const auto& levels = inst.levels();
+  std::vector<std::vector<std::uint32_t>> levels;
+  for (DirectionId i = 0; i < k; ++i) levels.push_back(inst.dag(i).levels());
   util::Rng rng(55);
   for (int trial = 0; trial < 5; ++trial) {
     const auto delays = random_delays(k, rng);

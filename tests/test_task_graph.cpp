@@ -30,7 +30,7 @@ void expect_matches_dags(const SweepInstance& inst) {
   std::uint32_t max_indegree = 0;
   for (std::size_t i = 0; i < inst.n_directions(); ++i) {
     const SweepDag& g = inst.dag(i);
-    const auto& levels = inst.levels()[i];
+    const auto levels = g.levels();
     const std::size_t base = i * n;
     for (NodeId v = 0; v < n; ++v) {
       const std::size_t t = base + v;
@@ -107,13 +107,6 @@ TEST(TaskGraph, ConcurrentFirstAccessBuildsOnce) {
     for (auto& t : threads) t.join();
   }
   for (const TaskGraph* p : seen) EXPECT_EQ(p, seen[0]);
-}
-
-TEST(TaskGraph, BuildRejectsMismatchedLevels) {
-  const auto inst = random_instance(10, 2, 3, 1.0, 3);
-  std::vector<std::vector<std::uint32_t>> too_few(1);
-  EXPECT_THROW(TaskGraph::build(inst.n_cells(), inst.dags(), too_few),
-               std::invalid_argument);
 }
 
 }  // namespace
