@@ -5,9 +5,10 @@
 // from the un-instrumented baseline (each macro site is one relaxed load).
 //
 // A second section runs the serve-path request loop (ServeService::handle
-// answering level-scheme queries plus a stats frame per rep) through the
-// same three modes; the armed serve path — phase histograms, quality
-// metrics, status counters — must stay under 1% over disarmed.
+// with the schedule cache off, so every query computes, answering
+// level-scheme queries plus a stats frame per rep) through the same three
+// modes; the armed serve path — phase histograms, quality metrics, status
+// counters — must stay under 1% over disarmed.
 //
 // One plain loop per mode, so the three modes share the exact same
 // instance, assignment, and iteration structure:
@@ -146,7 +147,11 @@ static int run_main(int argc, char** argv) {
       dag::random_instance(serve_n, 4, 7, 2.0, seed + 1);
   const dag::ArtifactWriteOptions pack_options;
   dag::save_artifact(serve_instance, artifact_path, pack_options);
-  serve::ServeService service(dag::Artifact::map_file(artifact_path));
+  // No schedule cache: every timed request computes (schedule + C1/C2), the
+  // path whose telemetry the bar is about. With the default cache every rep
+  // after the first would time cache hits instead.
+  serve::ServeService service(dag::Artifact::map_file(artifact_path),
+                              serve::ScheduleCacheOptions{.max_entries = 0});
 
   // Per-request interleaving: every request index is answered three times
   // back to back, once per mode, with the mode ORDER rotating each request

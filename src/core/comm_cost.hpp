@@ -14,12 +14,18 @@
 // Evaluation throughput (DESIGN.md §11): C1 fans the edge scan out across
 // directions (each direction's tasks are a contiguous id range with
 // same-direction successors, so per-direction cross-edge counts sum without
-// synchronization). C2 accumulates (step, sender, messages) records flat
-// and sorts by a packed 64-bit step*m+sender key instead of funneling every
-// task through an unordered_map — no hash, no per-node allocation, and no
-// O(horizon) dense array, so schedules with huge sparse horizons cost
-// O(senders log senders), not O(makespan). The *_reference twins preserve
-// the original serial implementations as differential baselines.
+// synchronization). C2 is one linear pass over the tasks: each task's
+// cross-processor successor count folds into its step's maximum, and a
+// one-bit-per-(step, processor) occupancy bitmap confirms no two tasks
+// share a slot, so the per-task maximum is the per-sender maximum the model
+// charges. The pass runs when makespan <= n_tasks and makespan * m <=
+// 64 * n_tasks (at most 12 bytes of scratch per task). Any other schedule,
+// or one that puts two tasks in one slot (infeasible, so only hand-built
+// or loaded schedules do), takes a sort over packed 64-bit step*m+sender
+// records instead, which costs O(senders log senders) and never
+// O(makespan); the comm.c2.sorted_fallbacks counter counts those calls.
+// The *_reference twins preserve the original serial implementations as
+// differential baselines.
 
 #include <cstdint>
 
@@ -62,9 +68,9 @@ struct C2Cost {
 
 /// C2 requires the schedule (who finishes what when). A message is one cross-
 /// processor DAG edge, charged to the sender at the step its source finishes.
-/// Throws std::invalid_argument if makespan * n_processors overflows the
-/// packed 64-bit (step, sender) key space (a schedule that large is
-/// malformed, not merely expensive).
+/// Throws std::invalid_argument if an assignment entry is >= n_processors,
+/// or if makespan * n_processors overflows the packed 64-bit (step, sender)
+/// key space (a schedule that large is malformed, not merely expensive).
 C2Cost comm_cost_c2(const dag::SweepInstance& instance,
                     const Schedule& schedule);
 
@@ -72,9 +78,10 @@ C2Cost comm_cost_c2(const dag::SweepInstance& instance,
 /// instance overload for instance.task_graph().
 C2Cost comm_cost_c2(const dag::TaskGraph& graph, const Schedule& schedule);
 
-/// Preserved unordered_map implementation (differential baseline). Unlike
-/// comm_cost_c2 it allocates an O(makespan) dense reduction array, so only
-/// feed it schedules with modest horizons.
+/// Preserved unordered_map implementation (differential baseline). It
+/// allocates an O(makespan) dense reduction array whatever the horizon
+/// (comm_cost_c2 bounds its dense scratch by the task count and sorts
+/// instead past that), so only feed it schedules with modest horizons.
 C2Cost comm_cost_c2_reference(const dag::SweepInstance& instance,
                               const Schedule& schedule);
 

@@ -257,7 +257,8 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
   });
 
   // Oracle 7: persistence round trip, with C1/C2 recomputed on the reloaded
-  // schedule.
+  // schedule, and C2 checked against its preserved reference (fuzz
+  // horizons are small enough for the reference's dense per-step array).
   check("roundtrip", [&] {
     std::stringstream buffer;
     core::save_schedule(*schedule, buffer);
@@ -285,6 +286,12 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
         c2a.max_step_degree != c2b.max_step_degree ||
         c2a.busy_steps != c2b.busy_steps) {
       fail("roundtrip", "C2 changed across the round trip");
+    }
+    const auto c2r = core::comm_cost_c2_reference(*instance, *schedule);
+    if (c2a.total_delay != c2r.total_delay ||
+        c2a.max_step_degree != c2r.max_step_degree ||
+        c2a.busy_steps != c2r.busy_steps) {
+      fail("roundtrip", "C2 diverges from comm_cost_c2_reference");
     }
   });
 

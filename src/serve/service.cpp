@@ -265,7 +265,7 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
 #if !defined(SWEEP_OBS_DISABLE)
   if (obs_armed) SWEEP_OBS_HIST_RECORD("serve.schedule_ns", obs_lap());
 #endif
-  const core::C1Cost c1 = core::comm_cost_c1(tg, assignment);
+  const core::C1Cost c1 = core::comm_cost_c1(tg, assignment, /*jobs=*/1);
   const core::C2Cost c2 = core::comm_cost_c2(tg, schedule);
   // makespan() scans every task's start time; computed once and shared by
   // the quality telemetry and the response (a second scan would make the

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/assignment.hpp"
 #include "core/list_scheduler.hpp"
+#include "obs/obs.hpp"
+#include "partition/graph.hpp"
+#include "partition/multilevel.hpp"
 #include "sweep/random_dag.hpp"
 #include "test_helpers.hpp"
 
@@ -14,6 +19,44 @@ dag::SweepInstance chain4() {
   std::vector<dag::SweepDag> dags;
   dags.push_back(test::make_dag(4, {{0, 1}, {1, 2}, {2, 3}}));
   return dag::SweepInstance(4, std::move(dags), "chain4");
+}
+
+void expect_c2_matches_reference(const dag::SweepInstance& inst,
+                                 const Schedule& s, const std::string& what) {
+  const auto c2 = comm_cost_c2(inst, s);
+  const auto reference = comm_cost_c2_reference(inst, s);
+  EXPECT_EQ(c2.total_delay, reference.total_delay) << what;
+  EXPECT_EQ(c2.max_step_degree, reference.max_step_degree) << what;
+  EXPECT_EQ(c2.busy_steps, reference.busy_steps) << what;
+}
+
+struct C2Case {
+  dag::SweepInstance inst;
+  Schedule schedule;
+};
+
+// Cells 0 and 1 both run at step 0 on processor 0 and send to processor 1:
+// task 0 two messages, task 1 one. No engine would share a slot like that.
+C2Case shared_slot() {
+  std::vector<dag::SweepDag> dags;
+  dags.push_back(test::make_dag(4, {{0, 2}, {0, 3}, {1, 3}}));
+  C2Case c{dag::SweepInstance(4, std::move(dags), "shared_slot"),
+           Schedule(4, 1, 2, Assignment{0, 0, 1, 1})};
+  for (TaskId t = 0; t < 4; ++t) {
+    c.schedule.set_start(t, static_cast<TimeStep>(t / 2));
+  }
+  return c;
+}
+
+// An engine schedule whose cells use processors 0..7 of m = 8192: its
+// horizon is modest (at most n_tasks), but horizon * m is far above
+// 64 * n_tasks slots.
+C2Case wide_slot_space() {
+  auto inst = dag::random_instance(300, 3, 6, 2.0, 4);
+  util::Rng rng(8);
+  const Assignment a = random_assignment(300, 8, rng);
+  Schedule s = list_schedule(inst, a, 8192);
+  return {std::move(inst), std::move(s)};
 }
 
 TEST(C1, HandcraftedCounts) {
@@ -94,6 +137,13 @@ TEST(C2, RejectsTruncatedSchedule) {
   Schedule s(3, 1, 2, Assignment{0, 1, 0});
   for (TaskId t = 0; t < 3; ++t) s.set_start(t, static_cast<TimeStep>(t));
   EXPECT_THROW(comm_cost_c2(inst, s), std::invalid_argument);
+  // Right shape, but an assignment of 2 cells: reading cells 2 and 3 would
+  // run off its end.
+  Schedule short_assignment(4, 1, 2, Assignment{0, 1});
+  for (TaskId t = 0; t < 4; ++t) {
+    short_assignment.set_start(t, static_cast<TimeStep>(t));
+  }
+  EXPECT_THROW(comm_cost_c2(inst, short_assignment), std::invalid_argument);
 }
 
 TEST(C2, RejectsForeignDirectionCount) {
@@ -103,6 +153,17 @@ TEST(C2, RejectsForeignDirectionCount) {
   Schedule s(4, 2, 2, Assignment{0, 1, 0, 1});
   for (TaskId t = 0; t < 8; ++t) s.set_start(t, 0);
   EXPECT_THROW(comm_cost_c2(inst, s), std::invalid_argument);
+}
+
+TEST(C2, RejectsProcessorOutOfRange) {
+  // Processors 2 and 3 do not exist for m = 2. Unchecked, task 1's key
+  // 1 * 2 + 2 lands in step 2, and steps 0, 1 and 2, one message each,
+  // read as two busy steps with a total delay of 2 instead of 3.
+  const auto inst = chain4();
+  Schedule s(4, 1, 2, Assignment{0, 2, 1, 3});
+  for (TaskId t = 0; t < 4; ++t) s.set_start(t, static_cast<TimeStep>(t));
+  EXPECT_THROW(comm_cost_c2(inst, s), std::invalid_argument);
+  EXPECT_THROW(comm_cost_c2_reference(inst, s), std::invalid_argument);
 }
 
 TEST(C1, ParallelMatchesReferenceForAnyJobs) {
@@ -121,21 +182,70 @@ TEST(C1, ParallelMatchesReferenceForAnyJobs) {
 }
 
 TEST(C2, FlatMatchesReferenceOnRandomInstances) {
-  // The sort-based accumulator must agree with the preserved unordered_map
-  // implementation on every field.
+  // comm_cost_c2 must agree with the preserved unordered_map implementation
+  // on every field, under per-cell random and per-block assignments, from
+  // two processors up to more processors than blocks.
+  const auto mesh = test::small_tet_mesh(6, 6, 3);
+  const auto mesh_inst = dag::build_instance(mesh, dag::level_symmetric(2));
+  const auto blocks =
+      partition::partition_into_blocks(partition::graph_from_mesh(mesh), 8);
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto inst = dag::random_instance(300, 3, 6, 2.0, seed);
-    util::Rng rng(seed + 50);
-    const std::size_t m = 2 + seed * 3;
-    const auto a = random_assignment(300, m, rng);
-    const Schedule s = list_schedule(inst, a, m);
-    const auto flat = comm_cost_c2(inst, s);
-    const auto reference = comm_cost_c2_reference(inst, s);
-    EXPECT_EQ(flat.total_delay, reference.total_delay) << "seed=" << seed;
-    EXPECT_EQ(flat.max_step_degree, reference.max_step_degree);
-    EXPECT_EQ(flat.busy_steps, reference.busy_steps);
+    for (const std::size_t m : {2u, 16u, 256u}) {
+      const std::string at =
+          "seed=" + std::to_string(seed) + " m=" + std::to_string(m);
+      util::Rng rng(seed + 50);
+      const auto per_cell = random_assignment(300, m, rng);
+      expect_c2_matches_reference(inst, list_schedule(inst, per_cell, m),
+                                  "random " + at);
+      const auto per_block = block_assignment(blocks, m, rng);
+      expect_c2_matches_reference(
+          mesh_inst, list_schedule(mesh_inst, per_block, m), "block " + at);
+    }
   }
 }
+
+TEST(C2, SharedSlotChargesTheSenderSum) {
+  // Processor 0's round at step 0 carries both senders' messages: 2 + 1.
+  // A per-task maximum would read 2.
+  const auto c = shared_slot();
+  const auto c2 = comm_cost_c2(c.inst, c.schedule);
+  EXPECT_EQ(c2.total_delay, 3u);
+  EXPECT_EQ(c2.max_step_degree, 3u);
+  EXPECT_EQ(c2.busy_steps, 1u);
+  expect_c2_matches_reference(c.inst, c.schedule, "shared slot");
+}
+
+TEST(C2, WideSlotSpaceMatchesReference) {
+  const auto c = wide_slot_space();
+  const std::size_t horizon = c.schedule.makespan();
+  ASSERT_LE(horizon, c.inst.n_tasks());
+  ASSERT_GT(horizon * c.schedule.n_processors(), 64 * c.inst.n_tasks());
+  expect_c2_matches_reference(c.inst, c.schedule, "wide slot space");
+}
+
+#if !defined(SWEEP_OBS_DISABLE)
+TEST(C2, CountsSortedFallbacks) {
+  // An engine schedule within the bounds takes the dense pass; a shared slot
+  // and a slot space past 64 per task each fall back to the sorted
+  // reduction once.
+  const auto inst = dag::random_instance(300, 3, 6, 2.0, 1);
+  util::Rng rng(51);
+  const Assignment a = random_assignment(300, 16, rng);
+  const Schedule engine = list_schedule(inst, a, 16);
+  const auto shared = shared_slot();
+  const auto wide = wide_slot_space();
+  obs::MetricsRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
+  comm_cost_c2(inst, engine);
+  EXPECT_EQ(test::counter_value_of("comm.c2.sorted_fallbacks"), 0u);
+  comm_cost_c2(shared.inst, shared.schedule);
+  EXPECT_EQ(test::counter_value_of("comm.c2.sorted_fallbacks"), 1u);
+  comm_cost_c2(wide.inst, wide.schedule);
+  EXPECT_EQ(test::counter_value_of("comm.c2.sorted_fallbacks"), 2u);
+  obs::set_metrics_enabled(false);
+}
+#endif  // SWEEP_OBS_DISABLE
 
 TEST(C2, RejectsKeySpaceOverflow) {
   // A schedule whose makespan * n_processors exceeds 2^64 cannot pack its

@@ -2,12 +2,14 @@
 // Shared fixtures for the test suite: small meshes, instances and
 // hand-crafted DAGs with known properties.
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "mesh/extrude.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/tri2d.hpp"
+#include "obs/obs.hpp"
 #include "sweep/dag.hpp"
 #include "sweep/instance.hpp"
 
@@ -59,5 +61,18 @@ inline dag::SweepDag figure1_dag() {
   return make_dag(9, {{0, 2}, {1, 4}, {1, 2}, {3, 4}, {2, 5}, {4, 7},
                       {4, 5}, {6, 7}, {5, 8}, {7, 8}});
 }
+
+// Counter assertions read metric values, which only exist when
+// observability is compiled in (SWEEP_OBS=ON, the default).
+#if !defined(SWEEP_OBS_DISABLE)
+/// Current value of registry counter `name`; 0 if it was never incremented.
+inline std::uint64_t counter_value_of(const char* name) {
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  for (const auto& [n, v] : snap.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+#endif
 
 }  // namespace sweep::test

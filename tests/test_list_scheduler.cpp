@@ -324,18 +324,6 @@ TEST(EngineIdentity, CornerShapesMatch) {
   }
 }
 
-// The engine-counter assertions read metric values, which only exist when
-// observability is compiled in (SWEEP_OBS=ON, the default).
-#if !defined(SWEEP_OBS_DISABLE)
-std::uint64_t counter_value_of(const char* name) {
-  const auto snap = obs::MetricsRegistry::instance().snapshot();
-  for (const auto& [n, v] : snap.counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-#endif
-
 TEST(EngineIdentity, SlotSpaceOverflowFallsBackToHeap) {
   // Every cell on processor 0 of m = 16384: ~1,200 tasks pad its slot region
   // to 2^11, so m << 11 = 2^25 slots exceed the 2^24 cap. Every other slot
@@ -351,8 +339,8 @@ TEST(EngineIdentity, SlotSpaceOverflowFallsBackToHeap) {
   const Schedule s = list_schedule(inst, all_on_0, m);
 #if !defined(SWEEP_OBS_DISABLE)
   obs::set_metrics_enabled(false);
-  EXPECT_EQ(counter_value_of("engine.slot.fallbacks"), 1u);
-  EXPECT_EQ(counter_value_of("engine.heap.runs"), 1u);
+  EXPECT_EQ(test::counter_value_of("engine.slot.fallbacks"), 1u);
+  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 1u);
 #endif
   EXPECT_EQ(s.starts(), list_schedule_reference(inst, all_on_0, m).starts());
 }
@@ -371,13 +359,13 @@ TEST(ListScheduler, InputPicksTheEngine) {
   obs::set_metrics_enabled(true);
   options.priorities = level;
   list_schedule(inst, assignment, 4, options);
-  EXPECT_EQ(counter_value_of("engine.slot.runs"), 1u);
-  EXPECT_EQ(counter_value_of("engine.heap.runs"), 0u);
+  EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 1u);
+  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 0u);
   options.priorities = rescaled;
   list_schedule(inst, assignment, 4, options);
-  EXPECT_EQ(counter_value_of("engine.slot.runs"), 1u);
-  EXPECT_EQ(counter_value_of("engine.heap.runs"), 1u);
-  EXPECT_EQ(counter_value_of("engine.slot.fallbacks"), 0u);
+  EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 1u);
+  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 1u);
+  EXPECT_EQ(test::counter_value_of("engine.slot.fallbacks"), 0u);
   obs::set_metrics_enabled(false);
 }
 #endif  // SWEEP_OBS_DISABLE
