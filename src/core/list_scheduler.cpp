@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <vector>
@@ -16,71 +16,232 @@ namespace {
 
 using Task32 = dag::TaskGraph::Task;
 
-// Eligibility limits for the slot-map ready queues (the fast path).
-// Level-derived priorities span at most depth + k values, which is tiny;
-// descendant counts span up to n and fall back to the heap. The range and
-// total-bucket bounds cap the per-call histogram at (range + 1) * m
-// counters; the indegree and slot bounds come from the packed
-// (slot << 8) | indegree representation below.
+// Bounds of the per-(processor, priority) histogram that orders the slots of
+// a narrow priority span: it holds (span + 1) * m counters. Level-derived
+// priorities span at most depth + k values, so they fit unless m is huge;
+// wider spans are ordered by sorting instead (order_slots).
 constexpr std::uint64_t kMaxBucketRange = (1u << 16) - 1;
 constexpr std::uint64_t kMaxTotalBuckets = 1u << 20;
-constexpr std::uint32_t kMaxPackedIndegree = 0xFF;
-constexpr std::uint32_t kMaxPackedSlots = 1u << 24;
 
-/// Per-processor binary min-heaps keyed by (priority, task id) — the
-/// general fallback for arbitrary 64-bit priorities.
-struct HeapReadyQueues {
-  using Entry = std::pair<std::int64_t, Task32>;
-  std::vector<std::priority_queue<Entry, std::vector<Entry>, std::greater<>>>
-      heaps;
-
-  explicit HeapReadyQueues(std::size_t n_processors) : heaps(n_processors) {}
-
-  void push(std::size_t p, std::int64_t priority, Task32 t) {
-    heaps[p].push({priority, t});
-  }
-  Task32 pop(std::size_t p) {
-    const Task32 t = heaps[p].top().second;
-    heaps[p].pop();
-    return t;
-  }
-  [[nodiscard]] bool empty(std::size_t p) const { return heaps[p].empty(); }
+/// Per-thread scratch for the engine. list_schedule is called in tight loops
+/// (trial fan-outs run thousands of schedules per thread); reusing the
+/// per-call lanes instead of reallocating them avoids ~1MB of
+/// mmap/page-zeroing traffic per call. The hot lanes (packed, task_at,
+/// bitmap, owner, shift, hint, queued, active_flag) live as a
+/// structure-of-arrays in one 64-byte-aligned arena — each lane starts on
+/// its own cache line and the per-call carve-out is free once the arena is
+/// warm. The slot order and the per-processor loads stay vectors: they
+/// decide the slot space, and so the arena's size. Lanes are either
+/// zero-filled per call (bitmap, queued, active_flag) or fully overwritten
+/// before use (hint is only read for processors with queued tasks).
+struct SlotScratch {
+  std::vector<std::uint32_t> counts;  // (processor, priority) or priority counts
+  std::vector<Task32> by_priority;    // tasks in (priority, task id) order
+  std::vector<std::uint32_t> load;    // tasks per processor, then a cursor
+  util::Arena arena;
 };
 
-/// Heap-path per-task hot state: the engine touches a task's remaining
-/// predecessor count on every incoming edge, and its processor + priority
-/// when the count hits zero; packing them into one record costs one
-/// cache-line touch where three scattered arrays (indegree, cell ->
-/// assignment, priorities) cost up to three.
-struct HeapRec {
-  std::uint32_t indegree;
-  std::uint32_t proc;
-  std::int64_t prio;
+SlotScratch& slot_scratch() {
+  thread_local SlotScratch scratch;
+  return scratch;
+}
+
+/// What the input decided about the slot layout: how the build orders the
+/// tasks by (processor, priority, task id), how many slots that takes, and
+/// how many low bits of a packed word hold the remaining indegree.
+struct SlotLayout {
+  std::int64_t min_priority = 0;
+  /// Buckets per processor of the histogram in SlotScratch::counts, or 0
+  /// when SlotScratch::by_priority lists the tasks instead.
+  std::size_t width = 0;
+  /// Slot space: every processor's load rounded up to a 64-slot word.
+  std::uint64_t n_slots = 0;
+  unsigned bits = 0;
 };
 
-/// The generic engine. Semantics are identical to list_schedule_reference;
-/// the differences are the flat-CSR successor walk and the packed records.
-/// kGated compiles the release-time / cross-message-delay machinery out
-/// entirely for the common ungated call.
-template <bool kGated>
-Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
+/// Task t's priority minus the smallest one (0 without priorities). Unsigned
+/// subtraction: the span of two arbitrary int64 values may not fit an
+/// int64, but always fits a uint64.
+std::size_t rank_of(const std::int64_t* priority, std::int64_t min_priority,
+                    std::size_t t) {
+  return priority != nullptr
+             ? static_cast<std::size_t>(
+                   static_cast<std::uint64_t>(priority[t]) -
+                   static_cast<std::uint64_t>(min_priority))
+             : 0;
+}
+
+/// First half of the slot build: fills the per-processor loads and either
+/// the (processor, priority) histogram, while its bounds hold, or the list
+/// of tasks in (priority, task id) order — by a counting sort when the span
+/// is below the task count, by a comparison sort beyond that. The input
+/// alone picks the path; each yields the same slot layout.
+SlotLayout order_slots(const dag::TaskGraph& tg, const Assignment& assignment,
+                       std::size_t n_processors,
+                       std::span<const std::int64_t> priorities) {
+  SlotScratch& scratch = slot_scratch();
+  const std::size_t total = tg.n_tasks();
+  const std::uint32_t* cell = tg.cells().data();
+  const std::int64_t* priority =
+      priorities.empty() ? nullptr : priorities.data();
+
+  SlotLayout layout;
+  std::uint64_t range = 0;
+  if (priority != nullptr) {
+    const auto [lo, hi] =
+        std::minmax_element(priorities.begin(), priorities.end());
+    layout.min_priority = *lo;
+    range = static_cast<std::uint64_t>(*hi) - static_cast<std::uint64_t>(*lo);
+  }
+  const auto rank = [&](std::size_t t) {
+    return rank_of(priority, layout.min_priority, t);
+  };
+
+  scratch.load.assign(n_processors, 0);
+  std::uint32_t* load = scratch.load.data();
+  if (range <= kMaxBucketRange &&
+      (range + 1) * n_processors <= kMaxTotalBuckets) {
+    layout.width = static_cast<std::size_t>(range) + 1;
+    scratch.counts.assign(n_processors * layout.width, 0);
+    std::uint32_t* counts = scratch.counts.data();
+    for (std::size_t t = 0; t < total; ++t) {
+      ++counts[assignment[cell[t]] * layout.width + rank(t)];
+    }
+    for (std::size_t p = 0; p < n_processors; ++p) {
+      load[p] = std::accumulate(counts + p * layout.width,
+                                counts + (p + 1) * layout.width, 0u);
+    }
+  } else {
+    for (std::size_t t = 0; t < total; ++t) ++load[assignment[cell[t]]];
+    scratch.by_priority.resize(total);
+    Task32* by_priority = scratch.by_priority.data();
+    if (range < total) {
+      // Stable counting sort: ties keep ascending task ids.
+      scratch.counts.assign(static_cast<std::size_t>(range) + 1, 0);
+      std::uint32_t* counts = scratch.counts.data();
+      for (std::size_t t = 0; t < total; ++t) ++counts[rank(t)];
+      std::exclusive_scan(counts, counts + range + 1, counts, 0u);
+      for (std::size_t t = 0; t < total; ++t) {
+        by_priority[counts[rank(t)]++] = static_cast<Task32>(t);
+      }
+    } else {
+      std::iota(by_priority, by_priority + total, Task32{0});
+      std::sort(by_priority, by_priority + total, [&](Task32 a, Task32 b) {
+        return priority[a] != priority[b] ? priority[a] < priority[b] : a < b;
+      });
+    }
+  }
+  for (std::size_t p = 0; p < n_processors; ++p) {
+    layout.n_slots += (std::uint64_t{load[p]} + 63) & ~std::uint64_t{63};
+  }
+  return layout;
+}
+
+/// The engine. Every task gets a static SLOT: slots are ordered by
+/// (processor, priority, task id), and each processor's region starts on a
+/// 64-slot word boundary, so every bitmap word has one owner processor
+/// (owner[slot >> 6]). The ready set is a single bitmap over slots, and:
+///   push  = set the task's slot bit (plus hint/count upkeep for the word's
+///           owner); no per-task loads — the slot rides in the packed
+///           indegree word.
+///   pop   = find-first-set from the processor's hint; the lowest live slot
+///           IS the (priority, task id) minimum, so this reproduces the
+///           reference heap order bit-for-bit with ~2 word reads + ctz.
+/// The per-task Word packs (slot << bits) | remaining_indegree, so the edge
+/// walk's decrement also delivers the slot of a newly-ready task for free.
+/// task_at lists the tasks in slot order without the padding: slot s of
+/// processor p holds task_at[s - shift[p]]. kGated compiles the release-time
+/// / cross-message-delay machinery out entirely for the common ungated call.
+template <bool kGated, typename Word>
+Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
                          std::size_t n_processors,
                          const ListScheduleOptions& options,
-                         HeapReadyQueues& ready, std::vector<HeapRec>& rec) {
-  SWEEP_OBS_SPAN("engine.heap.run");
+                         const SlotLayout& layout, obs::PhaseSpan& build_phase) {
   const std::size_t total = tg.n_tasks();
-  Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
+  const std::uint32_t* indeg = tg.indegrees().data();
+  const std::uint32_t* cell = tg.cells().data();
+  const std::int64_t* priority =
+      options.priorities.empty() ? nullptr : options.priorities.data();
+  const unsigned bits = layout.bits;
+  const Word indegree_mask = (Word{1} << bits) - 1;
+  const std::size_t n_words = layout.n_slots / 64;
 
-  std::vector<char> active_flag(n_processors, 0);
+  SlotScratch& scratch = slot_scratch();
+  std::uint32_t* next = scratch.load.data();
+  // One reservation covers every lane of this call; the allocs below are
+  // cursor bumps into the warm block.
+  util::Arena& arena = scratch.arena;
+  arena.reserve(util::Arena::lane_bytes<Word>(total) +
+                util::Arena::lane_bytes<Task32>(total) +
+                util::Arena::lane_bytes<std::uint64_t>(n_words) +
+                util::Arena::lane_bytes<ProcessorId>(n_words) +
+                util::Arena::lane_bytes<Word>(n_processors) * 2 +
+                util::Arena::lane_bytes<std::uint32_t>(n_processors) +
+                util::Arena::lane_bytes<char>(n_processors));
+
+  // Regions: processor p's slots start on the word after p - 1's and
+  // shift[p] is the padding before them. next[p], p's load until here,
+  // becomes the task_at index of p's first task.
+  Word* shift = arena.alloc<Word>(n_processors);
+  ProcessorId* owner = arena.alloc<ProcessorId>(n_words);
+  {
+    Word slot = 0;
+    std::uint32_t first = 0;
+    for (std::size_t p = 0; p < n_processors; ++p) {
+      const std::uint32_t load = next[p];
+      const std::size_t words = (std::size_t{load} + 63) / 64;
+      shift[p] = slot - first;
+      std::fill_n(owner + slot / 64, words, static_cast<ProcessorId>(p));
+      next[p] = first;
+      first += load;
+      slot += static_cast<Word>(words * 64);
+    }
+  }
+
+  // Second half of the build: hand out slots in (processor, priority, task
+  // id) order and build the packed words + the task_at order.
+  Word* packed = arena.alloc<Word>(total);
+  Task32* task_at = arena.alloc<Task32>(total);
+  const auto place = [&](std::size_t t, std::uint32_t index, std::size_t p) {
+    packed[t] = ((static_cast<Word>(index) + shift[p]) << bits) | indeg[t];
+    task_at[index] = static_cast<Task32>(t);
+  };
+  if (layout.width > 0) {
+    // Exclusive scan over the whole (processor, priority) histogram: bucket
+    // pb's counter becomes the task_at index of its first task.
+    std::uint32_t* counts = scratch.counts.data();
+    std::exclusive_scan(counts, counts + n_processors * layout.width, counts,
+                        0u);
+    for (std::size_t t = 0; t < total; ++t) {
+      const std::size_t p = assignment[cell[t]];
+      const std::size_t b = rank_of(priority, layout.min_priority, t);
+      place(t, counts[p * layout.width + b]++, p);
+    }
+  } else {
+    // Stable scatter of the (priority, task id) list by processor.
+    for (const Task32 t : scratch.by_priority) {
+      const std::size_t p = assignment[cell[t]];
+      place(t, next[p]++, p);
+    }
+  }
+
+  Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
+  std::uint64_t* bitmap = arena.alloc_zero<std::uint64_t>(n_words);
+  // hint[p]: no live slot of processor p is below this (valid iff queued>0).
+  Word* hint = arena.alloc<Word>(n_processors);
+  std::uint32_t* queued = arena.alloc_zero<std::uint32_t>(n_processors);
+  char* active_flag = arena.alloc_zero<char>(n_processors);
   std::vector<ProcessorId> active;
   active.reserve(n_processors);
 
-  auto push_ready = [&](Task32 t) {
-    const std::size_t p = rec[t].proc;
-    ready.push(p, rec[t].prio, t);
+  auto push_slot = [&](Word s) {
+    const ProcessorId p = owner[s >> 6];
+    bitmap[s >> 6] |= 1ull << (s & 63);
+    if (queued[p] == 0 || s < hint[p]) hint[p] = s;
+    ++queued[p];
     if (!active_flag[p]) {
       active_flag[p] = 1;
-      active.push_back(static_cast<ProcessorId>(p));
+      active.push_back(p);
     }
   };
 
@@ -102,238 +263,13 @@ Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
         return;
       }
     }
-    push_ready(t);
-  };
-
-  for (Task32 t = 0; t < total; ++t) {
-    if (rec[t].indegree == 0) enqueue_ready(t, 0);
-  }
-
-  std::size_t done = 0;
-  std::vector<Task32> finished;
-  finished.reserve(n_processors);
-  std::vector<ProcessorId> still_active;
-  still_active.reserve(n_processors);
-
-  TimeStep now = 0;
-  while (done < total) {
-    if constexpr (kGated) {
-      // Releases that have come due.
-      while (!pending.empty() && pending.top().first <= now) {
-        const Task32 task = pending.top().second;
-        pending.pop();
-        push_ready(task);
-      }
-      if (active.empty()) {
-        if (pending.empty()) {
-          throw std::logic_error(
-              "list_schedule: deadlock — instance DAG has a cycle");
-        }
-        now = pending.top().first;
-        continue;
-      }
-    } else {
-      if (active.empty()) {
-        throw std::logic_error(
-            "list_schedule: deadlock — instance DAG has a cycle");
-      }
-    }
-
-    // Each active processor runs its best ready task this step.
-    finished.clear();
-    still_active.clear();
-    for (ProcessorId p : active) {
-      const Task32 task = ready.pop(p);
-      schedule.set_start(task, now);
-      finished.push_back(task);
-      if (ready.empty(p)) {
-        active_flag[p] = 0;
-      } else {
-        still_active.push_back(p);
-      }
-    }
-    active.swap(still_active);
-    done += finished.size();
-
-    // Newly ready successors become available from now+1 (or their release;
-    // or now+1+c if the message must cross processors).
-    for (Task32 task : finished) {
-      for (Task32 succ : tg.successors(task)) {
-        if constexpr (kGated) {
-          if (!earliest.empty() && rec[succ].proc != rec[task].proc) {
-            earliest[succ] = std::max(earliest[succ],
-                                      now + 1 + options.cross_message_delay);
-          }
-        }
-        if (--rec[succ].indegree == 0) enqueue_ready(succ, now + 1);
-      }
-    }
-    ++now;
-  }
-  SWEEP_OBS_COUNTER_ADD("engine.heap.runs", 1);
-  SWEEP_OBS_COUNTER_ADD("engine.pops", done);
-  SWEEP_OBS_COUNTER_ADD("engine.steps", now);
-  if (now > 0) {
-    SWEEP_OBS_OBSERVE("engine.occupancy",
-                      static_cast<double>(done) /
-                          (static_cast<double>(now) *
-                           static_cast<double>(n_processors)));
-  }
-  return schedule;
-}
-
-/// Per-thread scratch for the slot engine. list_schedule is called in tight
-/// loops (trial fan-outs run thousands of schedules per thread); reusing the
-/// large per-call lanes instead of reallocating them avoids ~1MB of
-/// mmap/page-zeroing traffic per call. The hot lanes (packed, task_at,
-/// bitmap, hint, queued, active_flag) live as a structure-of-arrays in one
-/// 64-byte-aligned arena — each lane starts on its own cache line and the
-/// per-call carve-out is free once the arena is warm. Only bucket_next stays
-/// a vector: the histogram that sizes the slot space must run before the
-/// arena can be reserved. Lanes are either zero-filled per call (bitmap,
-/// queued, active_flag) or fully overwritten before use (packed; task_at and
-/// hint are only read at slots / processors the current call populated).
-struct SlotScratch {
-  std::vector<std::uint32_t> bucket_next;
-  util::Arena arena;
-};
-
-SlotScratch& slot_scratch() {
-  thread_local SlotScratch scratch;
-  return scratch;
-}
-
-/// The slot-map engine: the fast path for bounded-small-integer priorities.
-///
-/// Every task is assigned a static SLOT, dense within its processor's padded
-/// region: slots are ordered by (processor, rebased priority, task id), and
-/// each processor's region starts at p << log2r (r = padded region size, a
-/// power of two), so the processor of a slot is slot >> log2r. The ready set
-/// is then a single bitmap over slots, and:
-///   push  = set the task's slot bit (plus per-processor hint/count upkeep);
-///           no random loads — the slot rides in the packed indegree word.
-///   pop   = find-first-set from the processor's hint; the lowest live slot
-///           IS the (priority, task id) minimum, so this reproduces the
-///           reference heap order bit-for-bit with ~2 word reads + ctz.
-/// The per-task word packs (slot << 8) | remaining_indegree, so the edge
-/// walk's decrement also delivers the slot of a newly-ready task for free.
-/// Requires max indegree <= 255 and m << log2r < 2^24 (checked; the caller
-/// falls back to the heap engine when this returns nullopt).
-template <bool kGated>
-std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
-                                        const Assignment& assignment,
-                                        std::size_t n_processors,
-                                        const ListScheduleOptions& options,
-                                        std::int64_t min_priority,
-                                        std::size_t width) {
-  const std::size_t total = tg.n_tasks();
-  const std::uint32_t* indeg = tg.indegrees().data();
-  const std::uint32_t* cell = tg.cells().data();
-  const std::int64_t* priority =
-      options.priorities.empty() ? nullptr : options.priorities.data();
-
-  obs::PhaseSpan build_phase("engine.slot.build");
-  SlotScratch& scratch = slot_scratch();
-
-  // Pass 1: per-(processor, priority) histogram.
-  scratch.bucket_next.assign(n_processors * width, 0);
-  std::uint32_t* bucket_next = scratch.bucket_next.data();
-  for (std::size_t t = 0; t < total; ++t) {
-    const std::size_t p = assignment[cell[t]];
-    const std::size_t b =
-        priority != nullptr
-            ? static_cast<std::size_t>(priority[t] - min_priority)
-            : 0;
-    ++bucket_next[p * width + b];
-  }
-  std::size_t max_per_proc = 64;  // at least one bitmap word per processor
-  for (std::size_t p = 0; p < n_processors; ++p) {
-    std::size_t load = 0;
-    for (std::size_t b = 0; b < width; ++b) load += bucket_next[p * width + b];
-    max_per_proc = std::max(max_per_proc, load);
-  }
-  const auto log2r =
-      static_cast<std::uint32_t>(std::bit_width(max_per_proc - 1));
-  const std::size_t n_slots = n_processors << log2r;
-  if (n_slots > kMaxPackedSlots) return std::nullopt;
-
-  // One reservation covers every lane of this call; the allocs below are
-  // cursor bumps into the warm block.
-  util::Arena& arena = scratch.arena;
-  arena.reserve(util::Arena::lane_bytes<std::uint32_t>(total) +
-                util::Arena::lane_bytes<Task32>(n_slots) +
-                util::Arena::lane_bytes<std::uint64_t>(n_slots / 64 + 1) +
-                util::Arena::lane_bytes<std::uint32_t>(n_processors) * 2 +
-                util::Arena::lane_bytes<char>(n_processors));
-
-  // Exclusive scan, in place: bucket_next[pb] becomes the next free slot of
-  // bucket pb, starting each processor's run at its padded region base.
-  for (std::size_t p = 0; p < n_processors; ++p) {
-    auto acc = static_cast<std::uint32_t>(p << log2r);
-    for (std::size_t b = 0; b < width; ++b) {
-      const std::uint32_t count = bucket_next[p * width + b];
-      bucket_next[p * width + b] = acc;
-      acc += count;
-    }
-  }
-
-  // Pass 2: assign slots (ascending t within a bucket => ascending task id,
-  // the tie-break order) and build the packed words + slot -> task map.
-  std::uint32_t* packed = arena.alloc<std::uint32_t>(total);
-  Task32* task_at = arena.alloc<Task32>(n_slots);
-  for (std::size_t t = 0; t < total; ++t) {
-    const std::size_t p = assignment[cell[t]];
-    const std::size_t b =
-        priority != nullptr
-            ? static_cast<std::size_t>(priority[t] - min_priority)
-            : 0;
-    const std::uint32_t s = bucket_next[p * width + b]++;
-    packed[t] = (s << 8) | indeg[t];
-    task_at[s] = static_cast<Task32>(t);
-  }
-
-  Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
-  std::uint64_t* bitmap = arena.alloc_zero<std::uint64_t>(n_slots / 64 + 1);
-  // hint[p]: no live slot of processor p is below this (valid iff queued>0).
-  std::uint32_t* hint = arena.alloc<std::uint32_t>(n_processors);
-  std::uint32_t* queued = arena.alloc_zero<std::uint32_t>(n_processors);
-  char* active_flag = arena.alloc_zero<char>(n_processors);
-  std::vector<ProcessorId> active;
-  active.reserve(n_processors);
-
-  auto push_slot = [&](std::uint32_t s) {
-    const std::size_t p = s >> log2r;
-    bitmap[s >> 6] |= 1ull << (s & 63);
-    if (queued[p] == 0 || s < hint[p]) hint[p] = s;
-    ++queued[p];
-    if (!active_flag[p]) {
-      active_flag[p] = 1;
-      active.push_back(static_cast<ProcessorId>(p));
-    }
-  };
-
-  // Gated-only state, as in the heap engine.
-  using Release = std::pair<TimeStep, Task32>;
-  std::priority_queue<Release, std::vector<Release>, std::greater<>> pending;
-  const TimeStep* release =
-      options.release_times.empty() ? nullptr : options.release_times.data();
-  std::vector<TimeStep> earliest;
-  if (kGated && options.cross_message_delay > 0) earliest.assign(total, 0);
-
-  auto enqueue_ready = [&](Task32 t, TimeStep now) {
-    if constexpr (kGated) {
-      TimeStep rel = release != nullptr ? release[t] : 0;
-      if (!earliest.empty()) rel = std::max(rel, earliest[t]);
-      if (rel > now) {
-        pending.push({rel, t});
-        return;
-      }
-    }
-    push_slot(packed[t] >> 8);
+    push_slot(packed[t] >> bits);
   };
 
   for (std::size_t t = 0; t < total; ++t) {
-    if ((packed[t] & 0xFF) == 0) enqueue_ready(static_cast<Task32>(t), 0);
+    if ((packed[t] & indegree_mask) == 0) {
+      enqueue_ready(static_cast<Task32>(t), 0);
+    }
   }
   build_phase.done();
   obs::PhaseSpan run_phase("engine.slot.run");
@@ -349,10 +285,11 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
   TimeStep now = 0;
   while (done < total) {
     if constexpr (kGated) {
+      // Releases that have come due.
       while (!pending.empty() && pending.top().first <= now) {
         const Task32 task = pending.top().second;
         pending.pop();
-        push_slot(packed[task] >> 8);
+        push_slot(packed[task] >> bits);
       }
       if (active.empty()) {
         if (pending.empty()) {
@@ -380,11 +317,10 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
         word = bitmap[++w];
         ++scan_words;
       }
-      const auto s =
-          static_cast<std::uint32_t>((w << 6) + std::countr_zero(word));
+      const auto s = static_cast<Word>((w << 6) + std::countr_zero(word));
       bitmap[w] &= ~(1ull << (s & 63));
       hint[p] = s;
-      const Task32 task = task_at[s];
+      const Task32 task = task_at[s - shift[p]];
       --queued[p];
       schedule.set_start(task, now);
       finished.push_back(task);
@@ -397,18 +333,22 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
     active.swap(still_active);
     done += finished.size();
 
+    // Newly ready successors become available from now+1 (or their release;
+    // or now+1+c if the message must cross processors).
     for (Task32 task : finished) {
-      [[maybe_unused]] const std::uint32_t task_proc =
-          (packed[task] >> 8) >> log2r;
+      [[maybe_unused]] const ProcessorId task_proc =
+          owner[(packed[task] >> bits) >> 6];
       for (Task32 succ : tg.successors(task)) {
         if constexpr (kGated) {
           if (!earliest.empty() &&
-              ((packed[succ] >> 8) >> log2r) != task_proc) {
+              owner[(packed[succ] >> bits) >> 6] != task_proc) {
             earliest[succ] = std::max(earliest[succ],
                                       now + 1 + options.cross_message_delay);
           }
         }
-        if ((--packed[succ] & 0xFF) == 0) enqueue_ready(succ, now + 1);
+        if ((--packed[succ] & indegree_mask) == 0) {
+          enqueue_ready(succ, now + 1);
+        }
       }
     }
     ++now;
@@ -470,56 +410,30 @@ Schedule list_schedule(const dag::TaskGraph& tg, const Assignment& assignment,
   SWEEP_OBS_SCOPE("core.list_schedule");
   validate_inputs(tg.n_cells(), tg.n_tasks(), assignment, n_processors,
                   options, "list_schedule");
-  const std::int64_t* priority =
-      options.priorities.empty() ? nullptr : options.priorities.data();
-
-  std::int64_t min_priority = 0;
-  std::int64_t max_priority = 0;
-  if (priority != nullptr) {
-    const auto [lo, hi] = std::minmax_element(options.priorities.begin(),
-                                              options.priorities.end());
-    min_priority = *lo;
-    max_priority = *hi;
+  obs::PhaseSpan build_phase("engine.slot.build");
+  SlotLayout layout =
+      order_slots(tg, assignment, n_processors, options.priorities);
+  // The input picks the packed word: (slot << bits) | remaining indegree,
+  // with bits wide enough for the largest indegree, in 32 bits when the slot
+  // space fits beside it and in 64 bits otherwise.
+  layout.bits =
+      std::max(1u, static_cast<unsigned>(std::bit_width(tg.max_indegree())));
+  if (layout.bits + static_cast<unsigned>(std::bit_width(layout.n_slots)) > 64) {
+    throw std::length_error("list_schedule: slot space exceeds 64-bit words");
   }
-  // Unsigned subtraction: the span of two arbitrary int64 values may not fit
-  // an int64, but always fits a uint64.
-  const std::uint64_t range = static_cast<std::uint64_t>(max_priority) -
-                              static_cast<std::uint64_t>(min_priority);
-  // The input alone picks the engine: the slot engine when the priority span
-  // fits the (range + 1) * m bucket layout and every indegree fits the packed
-  // (slot << 8) | indegree word, the heap otherwise.
-  const bool use_slots = range <= kMaxBucketRange &&
-                         (range + 1) * n_processors <= kMaxTotalBuckets &&
-                         tg.max_indegree() <= kMaxPackedIndegree;
+  const bool narrow = layout.n_slots <= (std::uint64_t{1} << (32 - layout.bits));
   const bool gated =
       !options.release_times.empty() || options.cross_message_delay > 0;
-
-  if (use_slots) {
-    const auto width = static_cast<std::size_t>(range) + 1;
-    std::optional<Schedule> result =
-        gated ? run_slot_engine<true>(tg, assignment, n_processors, options,
-                                      min_priority, width)
-              : run_slot_engine<false>(tg, assignment, n_processors, options,
-                                       min_priority, width);
-    if (result.has_value()) return *std::move(result);
-    // Slot space overflowed (pathologically skewed assignment): fall through.
-    SWEEP_OBS_COUNTER_ADD("engine.slot.fallbacks", 1);
+  if (narrow) {
+    return gated ? run_slot_engine<true, std::uint32_t>(
+                       tg, assignment, n_processors, options, layout, build_phase)
+                 : run_slot_engine<false, std::uint32_t>(
+                       tg, assignment, n_processors, options, layout, build_phase);
   }
-  std::vector<HeapRec> rec(tg.n_tasks());
-  {
-    const std::uint32_t* indeg = tg.indegrees().data();
-    const std::uint32_t* cell = tg.cells().data();
-    for (std::size_t t = 0; t < tg.n_tasks(); ++t) {
-      rec[t].indegree = indeg[t];
-      rec[t].proc = assignment[cell[t]];
-      rec[t].prio = priority != nullptr ? priority[t] : 0;
-    }
-  }
-  HeapReadyQueues ready(n_processors);
-  return gated ? run_heap_engine<true>(tg, assignment, n_processors, options,
-                                       ready, rec)
-               : run_heap_engine<false>(tg, assignment, n_processors, options,
-                                        ready, rec);
+  return gated ? run_slot_engine<true, std::uint64_t>(
+                     tg, assignment, n_processors, options, layout, build_phase)
+               : run_slot_engine<false, std::uint64_t>(
+                     tg, assignment, n_processors, options, layout, build_phase);
 }
 
 Schedule list_schedule_reference(const dag::SweepInstance& instance,

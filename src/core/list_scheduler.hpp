@@ -53,9 +53,9 @@ Schedule list_schedule(const dag::TaskGraph& graph, const Assignment& assignment
                        const ListScheduleOptions& options = {});
 
 /// The pre-engine implementation (per-direction DAG walks, task-id
-/// arithmetic per edge, binary heaps). Produces bit-identical schedules to
-/// list_schedule; kept as the oracle for the engine equivalence tests and as
-/// the "old path" in the throughput microbenchmarks.
+/// arithmetic per edge, per-processor binary heaps). Produces bit-identical
+/// schedules to list_schedule; kept as the oracle for the engine identity
+/// tests, the fuzz campaign and the ledger's checksum gates.
 Schedule list_schedule_reference(const dag::SweepInstance& instance,
                                  const Assignment& assignment,
                                  std::size_t n_processors,

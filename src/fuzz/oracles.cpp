@@ -172,9 +172,10 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     }
   });
 
-  // Oracle 3: engine identity — the production engine, on the path the
-  // input picks and forced onto the heap, against the preserved reference
-  // implementation, including release times and cross-message delays.
+  // Oracle 3: engine identity — the production engine, with its slots
+  // ordered by the (processor, priority) histogram and by a comparison sort,
+  // against the preserved reference implementation, including release times
+  // and cross-message delays.
   check("engine_identity", [&] {
     const auto priorities = core::level_priorities(*instance);
     std::vector<TimeStep> releases;
@@ -187,23 +188,28 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
       releases = core::delay_release_times(*instance, delays);
       options.release_times = releases;
     }
-    const Schedule fast = core::list_schedule(*instance, assignment, m, options);
+    // Level priorities span at most the depth, so the histogram orders the
+    // slots (the counting sort when (span + 1) * m outgrows it).
+    const Schedule by_histogram =
+        core::list_schedule(*instance, assignment, m, options);
     const Schedule reference =
         core::list_schedule_reference(*instance, assignment, m, options);
     // p * 2^20 keeps the (priority, task id) order, so the schedule may not
-    // change, but any span > 0 exceeds the slot engine's bucket cap and
-    // sends the call to the heap.
+    // change, but any span > 0 now exceeds both the histogram bounds and
+    // the task count, so a comparison sort orders the slots.
     std::vector<std::int64_t> rescaled(priorities.size());
     for (std::size_t t = 0; t < rescaled.size(); ++t) {
       rescaled[t] = priorities[t] * (std::int64_t{1} << 20);
     }
     options.priorities = rescaled;
-    const Schedule heap = core::list_schedule(*instance, assignment, m, options);
-    if (fast.starts() != reference.starts()) {
-      fail("engine_identity", "engine diverges from reference");
+    const Schedule by_comparison =
+        core::list_schedule(*instance, assignment, m, options);
+    if (by_histogram.starts() != reference.starts()) {
+      fail("engine_identity", "histogram-ordered slots diverge from reference");
     }
-    if (heap.starts() != reference.starts()) {
-      fail("engine_identity", "heap engine diverges from reference");
+    if (by_comparison.starts() != reference.starts()) {
+      fail("engine_identity",
+           "comparison-sorted slots diverge from reference");
     }
   });
 

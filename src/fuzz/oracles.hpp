@@ -4,8 +4,9 @@
 //   - feasibility (validate_schedule) and completeness,
 //   - lower-bound sanity: makespan >= max{ceil(nk/m), k, D, max critical path}
 //     (Sections 4-5 of the paper),
-//   - engine identity: list_schedule (heap and bucket ready queues) vs the
-//     preserved list_schedule_reference oracle, bit-identical starts,
+//   - engine identity: list_schedule (slots ordered by histogram and by
+//     comparison sort) vs the preserved list_schedule_reference oracle,
+//     bit-identical starts,
 //   - random-delay invariants: an independent re-simulation of Algorithms 1
 //     and 3 from the returned delays (layer loads, layer widths, makespan
 //     as the sum of per-layer maxima),

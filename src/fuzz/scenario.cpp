@@ -57,9 +57,9 @@ Scenario sample_scenario(util::Rng& rng) {
   } else if (roll < 0.84) {
     s.family = Family::kEdgeless;
   } else if (roll < 0.90) {
-    // High fan-in funnels: sample n to straddle the slot engine's
-    // 255-indegree cap, so campaigns pin both sides of the slot -> heap
-    // choice (one hub id decremented hundreds of times in one step).
+    // High fan-in funnels: sample n to straddle indegree 255, where the
+    // packed word's indegree field grows from 8 to 9 bits, so campaigns pin
+    // both widths (one hub id decremented hundreds of times in one step).
     s.family = Family::kFanIn;
     s.n = static_cast<std::uint32_t>(200 + rng.next_below(120));
     return s;
@@ -155,9 +155,10 @@ dag::SweepInstance materialize(const Scenario& s) {
     }
     case Family::kFanIn: {
       // Funnel: every source node feeds every hub sink, so each of the
-      // `hubs` last nodes has indegree n - hubs — sampled around the
-      // slot engine's 255-indegree cap. One finished front decrements the
-      // same hub hundreds of times in a single step.
+      // `hubs` last nodes has indegree n - hubs — sampled around 255, where
+      // the engine's packed indegree field grows from 8 to 9 bits. One
+      // finished front decrements the same hub hundreds of times in a
+      // single step.
       const std::uint32_t n = std::max<std::uint32_t>(2, s.n);
       const std::uint32_t k = std::max<std::uint32_t>(1, s.k);
       const std::uint32_t hubs = std::min(n - 1, 1 + s.layers % 4);

@@ -213,16 +213,25 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
   util::Rng rng(query.seed);
   core::Assignment assignment;
   std::size_t m = query.m;
+  std::span<const std::uint32_t> part;
   if (query.partition >= 0) {
     const auto j = static_cast<std::uint64_t>(query.partition);
     if (j >= a.n_partitions()) {
       throw std::invalid_argument("query: partition index out of range");
     }
     m = static_cast<std::size_t>(a.partition_parts(j));
-    const std::span<const std::uint32_t> part = a.partition(j);
+    part = a.partition(j);
+  } else if (m == 0) {
+    throw std::invalid_argument("query: m must be positive");
+  }
+  // The artifact bounds m: list_schedule keeps state for every processor,
+  // and processors past the cell count could never be given a cell.
+  if (m > std::max<std::size_t>(n, 1)) {
+    throw std::invalid_argument("query: m exceeds the artifact's cell count");
+  }
+  if (query.partition >= 0) {
     assignment.assign(part.begin(), part.end());
   } else {
-    if (m == 0) throw std::invalid_argument("query: m must be positive");
     assignment = core::random_assignment(n, m, rng);
   }
 #if !defined(SWEEP_OBS_DISABLE)

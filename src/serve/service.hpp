@@ -11,9 +11,9 @@
 // drops. No reader ever blocks on a swap and no swap ever waits for
 // readers.
 //
-// Bit-identity contract: a query (scheme, m, seed) reproduces exactly what
-// the in-process path computes on the instance the artifact was packed
-// from —
+// Bit-identity contract: a query (scheme, m, seed) with
+// 1 <= m <= max(n_cells, 1) reproduces exactly what the in-process path
+// computes on the instance the artifact was packed from —
 //   util::Rng rng(seed);
 //   assignment = core::random_assignment(n, m, rng);
 //   priorities = level / random-delay / descendant priorities from the SAME
@@ -21,7 +21,10 @@
 //   core::list_schedule(task_graph, assignment, m, {priorities});
 // The descendant scheme uses the artifact's packed exact counts and matches
 // core::descendant_priorities when that function takes its exact path
-// (n_cells <= dag::kDefaultExactThreshold).
+// (n_cells <= dag::kDefaultExactThreshold). A larger m, or an embedded
+// partition with more parts, gets a status-1 error instead: the engine keeps
+// state for every processor, so an unbounded m would let one query allocate
+// without limit.
 //
 // Schedule cache (DESIGN.md §15): handle_query probes a sharded concurrent
 // ScheduleCache keyed by (artifact content hash, scheme, m-or-partition,

@@ -89,8 +89,8 @@ class TaskGraph {
   [[nodiscard]] std::uint32_t level(std::size_t t) const { return level_[t]; }
   [[nodiscard]] std::uint32_t cell(std::size_t t) const { return cell_[t]; }
   [[nodiscard]] std::uint32_t max_level() const { return max_level_; }
-  /// Largest predecessor count over all tasks (schedulers use this to decide
-  /// whether the packed slot-map ready queue applies).
+  /// Largest predecessor count over all tasks (list_schedule sizes the
+  /// indegree field of its packed per-task words from it).
   [[nodiscard]] std::uint32_t max_indegree() const { return max_indegree_; }
 
   /// Raw CSR arrays (offsets() has n_tasks() + 1 entries): task t's

@@ -1,8 +1,8 @@
 #pragma once
-// 64-byte-aligned bump arena for the slot engine's per-call scratch state
+// 64-byte-aligned bump arena for list_schedule's per-call scratch state
 // (DESIGN.md §8.2). The engine's hot loops walk several parallel lanes
-// (packed indegree + slot, slot -> task, ready bitmap, per-processor
-// hints); carving them out of one reusable allocation
+// (packed indegree + slot, slot -> task, ready bitmap, bitmap-word owners,
+// per-processor hints); carving them out of one reusable allocation
 //   - starts every lane on its own cache line,
 //   - replaces N vector allocations per call with zero once warm (trial
 //     fan-outs run thousands of schedules per thread).

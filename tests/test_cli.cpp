@@ -43,16 +43,16 @@ TEST(Cli, ParsesIntegerLists) {
             (std::vector<std::int64_t>{1, 2, 4, 8, 512}));
   // "0.5" is not an integer: strict parsing reports it instead of the old
   // silent strtoll -> 0.
-  EXPECT_THROW(cli.integer("scale"), std::invalid_argument);
+  EXPECT_THROW((void)cli.integer("scale"), std::invalid_argument);
 }
 
 TEST(Cli, IntegerRejectsGarbage) {
   CliParser cli = make_parser();
   const char* argv[] = {"prog", "--name=abc", "--scale", "12x"};
   ASSERT_TRUE(cli.parse(4, argv));
-  EXPECT_THROW(cli.integer("name"), std::invalid_argument);   // "abc"
-  EXPECT_THROW(cli.integer("scale"), std::invalid_argument);  // "12x"
-  EXPECT_THROW(cli.real("name"), std::invalid_argument);
+  EXPECT_THROW((void)cli.integer("name"), std::invalid_argument);   // "abc"
+  EXPECT_THROW((void)cli.integer("scale"), std::invalid_argument);  // "12x"
+  EXPECT_THROW((void)cli.real("name"), std::invalid_argument);
 }
 
 TEST(Cli, IntegerRejectsEmptyAndOverflow) {
@@ -60,16 +60,16 @@ TEST(Cli, IntegerRejectsEmptyAndOverflow) {
   const char* argv[] = {"prog", "--name=", "--scale",
                         "99999999999999999999999999"};
   ASSERT_TRUE(cli.parse(4, argv));
-  EXPECT_THROW(cli.integer("name"), std::invalid_argument);
-  EXPECT_THROW(cli.integer("scale"), std::invalid_argument);
+  EXPECT_THROW((void)cli.integer("name"), std::invalid_argument);
+  EXPECT_THROW((void)cli.integer("scale"), std::invalid_argument);
 }
 
 TEST(Cli, RealRejectsTrailingGarbage) {
   CliParser cli = make_parser();
   const char* argv[] = {"prog", "--scale", "0.5.3"};
   ASSERT_TRUE(cli.parse(3, argv));
-  EXPECT_THROW(cli.real("scale"), std::invalid_argument);
-  EXPECT_THROW(cli.real("name"), std::invalid_argument);  // "tetonly"
+  EXPECT_THROW((void)cli.real("scale"), std::invalid_argument);
+  EXPECT_THROW((void)cli.real("name"), std::invalid_argument);  // "tetonly"
 }
 
 TEST(Cli, IntListRejectsMalformedElements) {

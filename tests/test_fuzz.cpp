@@ -63,8 +63,8 @@ TEST(FuzzRepro, CommittedReprosStayClean) {
   // instance files whose claimed edge count pre-allocated unbounded memory,
   // artifact images with overflowing section offsets, and wire frames that
   // decoded past their span. fanin_indegree_boundary pins the engine one
-  // past the packed 255-indegree cap: the call must take the heap instead of
-  // the slot engine and still match the reference bit-for-bit.
+  // past indegree 255, where the packed word's indegree field grows from 8
+  // to 9 bits: the schedule must still match the reference bit-for-bit.
   const std::filesystem::path dir(SWEEP_FUZZ_DATA_DIR);
   const char* files[] = {
       "oob_assignment.sweepfuzz",
@@ -124,10 +124,10 @@ TEST(FuzzShrink, PassingScenarioIsReturnedUnchanged) {
   EXPECT_EQ(result.accepted, 0u);
 }
 
-TEST(FuzzScenario, FanInFamilyStraddlesThePackedIndegreeCap) {
+TEST(FuzzScenario, FanInFamilyStraddlesTheIndegreeFieldWidth) {
   // hubs = 1 + layers % 4; each hub's indegree is n - hubs, so n = 257 /
-  // layers = 0 sits exactly one past the slot engine's 255 cap and n = 256
-  // exactly at it — the two sides of the slot -> heap fallback.
+  // layers = 0 sits exactly one past 255 and n = 256 exactly at it — the
+  // 9-bit and 8-bit indegree fields of the engine's packed word.
   Scenario s;
   s.family = Family::kFanIn;
   s.k = 1;

@@ -303,7 +303,9 @@ TEST_F(HistogramTest, ResetZeroesHistogramsAndGauges) {
   EXPECT_EQ(h->count, 0u);
   EXPECT_EQ(h->sum, 0u);
   for (const auto& [name, value] : snap.gauges) {
-    if (name == "test.reset_gauge") EXPECT_EQ(value, 0);
+    if (name == "test.reset_gauge") {
+      EXPECT_EQ(value, 0);
+    }
   }
   // The handle survives a reset and keeps recording.
   hist.record(700);

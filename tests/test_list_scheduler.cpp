@@ -26,6 +26,18 @@ dag::SweepInstance tiny_instance() {
   return dag::SweepInstance(4, std::move(dags), "tiny");
 }
 
+/// One direction over n cells: every cell but the last feeds the last one,
+/// whose indegree is n - 1.
+dag::SweepInstance star_instance(std::size_t n) {
+  std::vector<std::pair<dag::NodeId, dag::NodeId>> edges;
+  for (dag::NodeId v = 0; v + 1 < n; ++v) {
+    edges.emplace_back(v, static_cast<dag::NodeId>(n - 1));
+  }
+  std::vector<dag::SweepDag> dags;
+  dags.push_back(test::make_dag(n, std::move(edges)));
+  return dag::SweepInstance(n, std::move(dags), "star");
+}
+
 TEST(ListScheduler, ProducesValidSchedule) {
   const auto inst = tiny_instance();
   const Assignment assignment = {0, 1, 0, 1};
@@ -140,17 +152,18 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{64, 6, 7, 20}));
 
 // ---------------------------------------------------------------------------
-// Engine-identity tests: the engine the input picks (the slot map for these
-// narrow priority spans), the heap fallback, and the per-direction-walk
-// reference implementation must produce the exact same schedule — same start
-// time for every task, not merely the same makespan — under every priority
-// scheme and gating variant.
+// Engine-identity tests: the engine, on whichever slot-order path and word
+// width the input picks, and the per-direction-walk reference implementation
+// must produce the exact same schedule — same start time for every task, not
+// merely the same makespan — under every priority scheme and gating variant.
 
-/// Priorities that route a call to the heap: p * 2^20, or t * 2^20 when p is
-/// empty. The (priority, task id) order is unchanged, so the schedule must
-/// be too, but any span > 0 now exceeds the slot engine's bucket cap.
-std::vector<std::int64_t> heap_priorities(std::span<const std::int64_t> p,
-                                          std::size_t n_tasks) {
+/// The same (priority, task id) order with a span no histogram or counting
+/// sort takes: p * 2^20, or t * 2^20 when p is empty. Any span > 0 becomes
+/// at least 2^20 — past both the histogram bounds and the task count of
+/// these instances — so the call orders its slots by a comparison sort,
+/// and the schedule may not change.
+std::vector<std::int64_t> comparison_sorted_priorities(
+    std::span<const std::int64_t> p, std::size_t n_tasks) {
   std::vector<std::int64_t> q(n_tasks);
   for (std::size_t t = 0; t < n_tasks; ++t) {
     q[t] = (p.empty() ? static_cast<std::int64_t>(t) : p[t]) *
@@ -159,21 +172,29 @@ std::vector<std::int64_t> heap_priorities(std::span<const std::int64_t> p,
   return q;
 }
 
+/// max - min of `p` (0 when empty), as the engine computes it.
+std::uint64_t priority_span(std::span<const std::int64_t> p) {
+  if (p.empty()) return 0;
+  const auto [lo, hi] = std::minmax_element(p.begin(), p.end());
+  return static_cast<std::uint64_t>(*hi) - static_cast<std::uint64_t>(*lo);
+}
+
 void expect_identical_engines(const dag::SweepInstance& inst,
                               const Assignment& assignment, std::size_t m,
                               ListScheduleOptions options, const char* what) {
   const Schedule reference = list_schedule_reference(inst, assignment, m,
                                                      options);
   const Schedule fast = list_schedule(inst, assignment, m, options);
-  const auto rescaled = heap_priorities(options.priorities, inst.n_tasks());
+  const auto rescaled =
+      comparison_sorted_priorities(options.priorities, inst.n_tasks());
   options.priorities = rescaled;
-  const Schedule heap = list_schedule(inst, assignment, m, options);
+  const Schedule sorted = list_schedule(inst, assignment, m, options);
   ASSERT_EQ(fast.n_tasks(), reference.n_tasks());
   for (TaskId t = 0; t < reference.n_tasks(); ++t) {
     ASSERT_EQ(fast.start(t), reference.start(t))
         << what << ": engine diverges at task " << t;
-    ASSERT_EQ(heap.start(t), reference.start(t))
-        << what << ": heap engine diverges at task " << t;
+    ASSERT_EQ(sorted.start(t), reference.start(t))
+        << what << ": comparison-sorted slots diverge at task " << t;
   }
 }
 
@@ -248,9 +269,9 @@ TEST(EngineIdentity, GeometricInstanceMatches) {
   expect_identical_engines(inst, assignment, 8, options, "geometric");
 }
 
-TEST(EngineIdentity, HugePriorityRangeFallsBackToHeap) {
-  // Range > 2^16 makes the slot engine ineligible; the call must take the
-  // heap path and still match the reference exactly.
+TEST(EngineIdentity, HugeSpanComparisonSortMatches) {
+  // A span of 6,000,000 exceeds both the histogram bounds and the task
+  // count, so the slots are ordered by a comparison sort.
   const auto inst = dag::random_instance(60, 3, 5, 1.5, 17);
   util::Rng rng(21);
   const Assignment assignment = random_assignment(inst.n_cells(), 6, rng);
@@ -258,14 +279,35 @@ TEST(EngineIdentity, HugePriorityRangeFallsBackToHeap) {
   for (std::size_t t = 0; t < wide.size(); ++t) {
     wide[t] = static_cast<std::int64_t>((t % 7) * 1000000) - 2000000;
   }
+  ASSERT_GE(priority_span(wide), inst.n_tasks());
   ListScheduleOptions options;
   options.priorities = wide;
   expect_identical_engines(inst, assignment, 6, options, "wide range");
 }
 
+TEST(EngineIdentity, DescendantSpanPastHistogramCountingSortMatches) {
+  // Descendant counts span a few hundred values here: (span + 1) * m
+  // exceeds the 2^20-counter histogram at m = 4096, but the span stays
+  // below the task count, so the slots are ordered by a counting sort.
+  const auto inst = dag::random_instance(600, 3, 40, 2.0, 43);
+  const std::size_t m = 4096;
+  util::Rng rng(8);
+  const Assignment assignment = random_assignment(inst.n_cells(), m, rng);
+  const auto desc = descendant_priorities(inst, rng);
+  const std::uint64_t span = priority_span(desc);
+  ASSERT_GT((span + 1) * m, std::uint64_t{1} << 20);
+  ASSERT_LT(span, inst.n_tasks());
+  ListScheduleOptions options;
+  options.priorities = desc;
+  expect_identical_engines(inst, assignment, m, options, "descendants");
+  options.cross_message_delay = 2;
+  expect_identical_engines(inst, assignment, m, options,
+                           "descendants + cross delay");
+}
+
 TEST(EngineIdentity, FullInt64PriorityRangeMatches) {
-  // max - min overflows int64 here; the engine must still pick the heap and
-  // match the reference.
+  // max - min overflows int64 here; the comparison sort must still order
+  // the slots exactly as the reference heaps pop them.
   const auto inst = dag::random_instance(30, 2, 4, 1.5, 19);
   util::Rng rng(4);
   const Assignment assignment = random_assignment(inst.n_cells(), 3, rng);
@@ -324,49 +366,61 @@ TEST(EngineIdentity, CornerShapesMatch) {
   }
 }
 
-TEST(EngineIdentity, SlotSpaceOverflowFallsBackToHeap) {
-  // Every cell on processor 0 of m = 16384: ~1,200 tasks pad its slot region
-  // to 2^11, so m << 11 = 2^25 slots exceed the 2^24 cap. Every other slot
-  // condition holds, so only the slot-space check sends this call to the heap.
+TEST(EngineIdentity, StarIndegreePast16BitsUses64BitWords) {
+  // One hub with 69,999 predecessors needs a 17-bit indegree field, which
+  // leaves 15 bits of a 32-bit word for the slot: too few for 70,000 tasks,
+  // so the packed words are 64 bits wide.
+  const auto inst = star_instance(70000);
+  ASSERT_GE(inst.task_graph().max_indegree(), 1u << 16);
+  util::Rng rng(6);
+  const Assignment assignment = random_assignment(inst.n_cells(), 5, rng);
+  expect_identical_engines(inst, assignment, 5, {}, "star");
+  ListScheduleOptions options;
+  const auto level = level_priorities(inst);
+  options.priorities = level;
+  expect_identical_engines(inst, assignment, 5, options, "star, level");
+}
+
+TEST(EngineIdentity, EveryCellOnProcessor0OfAMillion) {
+  // m = 2^20 with every cell on processor 0: ~1,200 tasks would pad a
+  // power-of-two region to 2^11 slots per processor (2^31 slots); with
+  // regions rounded to 64-slot words only processor 0 has any. No priorities
+  // take the histogram (2^20 buckets exactly), level priorities the counting
+  // sort and their x2^20 rescale the comparison sort.
   const auto inst = dag::random_instance(300, 4, 6, 1.5, 41);
   ASSERT_GT(inst.n_tasks(), 1024u);
-  const std::size_t m = 16384;
+  const std::size_t m = std::size_t{1} << 20;
   const Assignment all_on_0(inst.n_cells(), 0);
-#if !defined(SWEEP_OBS_DISABLE)
-  obs::MetricsRegistry::instance().reset();
-  obs::set_metrics_enabled(true);
-#endif
-  const Schedule s = list_schedule(inst, all_on_0, m);
-#if !defined(SWEEP_OBS_DISABLE)
-  obs::set_metrics_enabled(false);
-  EXPECT_EQ(test::counter_value_of("engine.slot.fallbacks"), 1u);
-  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 1u);
-#endif
-  EXPECT_EQ(s.starts(), list_schedule_reference(inst, all_on_0, m).starts());
+  expect_identical_engines(inst, all_on_0, m, {}, "no priorities");
+  ListScheduleOptions options;
+  const auto level = level_priorities(inst);
+  options.priorities = level;
+  expect_identical_engines(inst, all_on_0, m, options, "level");
 }
 
 #if !defined(SWEEP_OBS_DISABLE)
-TEST(ListScheduler, InputPicksTheEngine) {
-  // Narrow level priorities run on the slot engine; the same order rescaled
-  // past the bucket cap runs on the heap, with no fallback counted.
+TEST(ListScheduler, EveryCallRunsTheSlotEngine) {
+  // Histogram, counting sort, comparison sort and 64-bit words: every call
+  // is one slot-engine run.
   const auto inst = dag::random_instance(40, 2, 5, 1.5, 7);
   util::Rng rng(3);
   const Assignment assignment = random_assignment(inst.n_cells(), 4, rng);
   const auto level = level_priorities(inst);
-  const auto rescaled = heap_priorities(level, inst.n_tasks());
-  ListScheduleOptions options;
+  const auto rescaled = comparison_sorted_priorities(level, inst.n_tasks());
+  const auto star = star_instance(70000);
+  const auto star_assignment = random_assignment(star.n_cells(), 3, rng);
+
   obs::MetricsRegistry::instance().reset();
   obs::set_metrics_enabled(true);
+  ListScheduleOptions options;
   options.priorities = level;
   list_schedule(inst, assignment, 4, options);
-  EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 1u);
-  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 0u);
+  list_schedule(inst, Assignment(inst.n_cells(), 0), 1 << 20, options);
   options.priorities = rescaled;
   list_schedule(inst, assignment, 4, options);
-  EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 1u);
-  EXPECT_EQ(test::counter_value_of("engine.heap.runs"), 1u);
-  EXPECT_EQ(test::counter_value_of("engine.slot.fallbacks"), 0u);
+  list_schedule(star, star_assignment, 3);
   obs::set_metrics_enabled(false);
+  EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 4u);
 }
 #endif  // SWEEP_OBS_DISABLE
 

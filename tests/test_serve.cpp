@@ -510,6 +510,17 @@ TEST(ServeService, ErrorStatusesInsteadOfThrows) {
     EXPECT_NE(r.status, 0u);
   }
   {
+    // The artifact bounds m: one processor per cell at most.
+    const auto n_cells = static_cast<std::uint32_t>(instance.n_cells());
+    const Response over =
+        service.handle(query_request(Scheme::kLevel, n_cells + 1, 1));
+    EXPECT_EQ(over.status, 1u);
+    EXPECT_FALSE(over.error.empty());
+    const Response at =
+        service.handle(query_request(Scheme::kLevel, n_cells, 1));
+    EXPECT_EQ(at.status, 0u) << at.error;
+  }
+  {
     Request request;
     request.type = MsgType::kSwap;
     request.swap.path = "/nonexistent/not.sweepart";
@@ -519,7 +530,24 @@ TEST(ServeService, ErrorStatusesInsteadOfThrows) {
   }
   // The service is still healthy after every error.
   EXPECT_EQ(service.handle(query_request(Scheme::kLevel, 4, 1)).status, 0u);
-  EXPECT_GE(service.errors_returned(), 4u);
+  EXPECT_GE(service.errors_returned(), 5u);
+}
+
+TEST(ServeService, PartitionWithMorePartsThanCellsIsRejected) {
+  const dag::SweepInstance instance = make_instance();
+  dag::ArtifactPartition part;
+  part.n_parts = instance.n_cells() + 1;
+  part.assignment.assign(instance.n_cells(), 0);
+  const std::vector<dag::ArtifactPartition> partitions = {part};
+  dag::ArtifactWriteOptions options;
+  options.partitions = &partitions;
+  ServeService service(
+      dag::Artifact::from_memory(dag::pack_artifact(instance, options)));
+  Request request = query_request(Scheme::kLevel, 0, 5);
+  request.query.partition = 0;
+  const Response r = service.handle(request);
+  EXPECT_EQ(r.status, 1u);
+  EXPECT_FALSE(r.error.empty());
 }
 
 TEST(ServeService, InfoAndEmbeddedPartition) {

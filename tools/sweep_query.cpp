@@ -1,8 +1,7 @@
 // sweep_query: command-line client for a running sweep_serve daemon.
 //
 //   sweep_query --socket /tmp/sweep.sock --op info
-//   sweep_query --socket /tmp/sweep.sock --op query --scheme level --m 16 \
-//               --seed 7
+//   sweep_query --socket /tmp/sweep.sock --op query --scheme level --m 16 --seed 7
 //   sweep_query --socket /tmp/sweep.sock --op swap --path new.sweepart
 //   sweep_query --socket /tmp/sweep.sock --op shutdown
 
@@ -34,7 +33,8 @@ static int run_main(int argc, char** argv) {
   cli.add_option("socket", "/tmp/sweep_serve.sock", "Unix socket path");
   cli.add_option("op", "info", "ping|info|query|stats|swap|shutdown");
   cli.add_option("scheme", "level", "level|random_delay|descendant");
-  cli.add_option("m", "16", "processors (query)");
+  cli.add_option("m", "16",
+                 "processors (query; 1 <= m <= the artifact's cell count)");
   cli.add_option("seed", "1", "assignment/priority seed (query)");
   cli.add_option("partition", "-1",
                  "embedded partition index (query; -1 = random assignment)");
