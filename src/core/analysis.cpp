@@ -6,10 +6,10 @@
 
 namespace sweep::core {
 
-ScheduleAnalysis analyze_schedule(const dag::SweepInstance& instance,
+ScheduleAnalysis analyze_schedule(const dag::TaskGraph& graph,
                                   const Schedule& schedule) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   const std::size_t total = n * k;
   if (schedule.n_tasks() != total) {
     throw std::invalid_argument("analyze_schedule: shape mismatch");
@@ -43,14 +43,10 @@ ScheduleAnalysis analyze_schedule(const dag::SweepInstance& instance,
 
   // Ready times: max over predecessors of (start + 1).
   std::vector<TimeStep> ready(total, 0);
-  for (DirectionId i = 0; i < k; ++i) {
-    const dag::SweepDag& g = instance.dag(i);
-    for (dag::NodeId u = 0; u < n; ++u) {
-      const TimeStep finish = schedule.start(u, i) + 1;
-      for (dag::NodeId v : g.successors(u)) {
-        const TaskId succ = task_id(v, i, n);
-        ready[succ] = std::max(ready[succ], finish);
-      }
+  for (TaskId t = 0; t < total; ++t) {
+    const TimeStep finish = schedule.start(t) + 1;
+    for (const dag::TaskGraph::Task succ : graph.successors(t)) {
+      ready[succ] = std::max(ready[succ], finish);
     }
   }
 
@@ -79,21 +75,19 @@ ScheduleAnalysis analyze_schedule(const dag::SweepInstance& instance,
   }
 
   // Realized critical path: longest chain of back-to-back dependent tasks.
+  // A forward pass in start order: a back-to-back successor starts one step
+  // later, so every task's chain is final before it extends its successors.
   std::vector<TaskId> order(total);
   for (TaskId t = 0; t < total; ++t) order[t] = t;
   std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
     return schedule.start(a) < schedule.start(b);
   });
   std::vector<std::uint32_t> chain(total, 1);
-  for (TaskId t : order) {
-    const auto v = task_cell(t, n);
-    const auto dir = task_direction(t, n);
-    const dag::SweepDag& g = instance.dag(dir);
-    const TimeStep st = schedule.start(t);
-    for (dag::NodeId u : g.predecessors(v)) {
-      const TaskId pred = task_id(u, dir, n);
-      if (schedule.start(pred) + 1 == st) {
-        chain[t] = std::max(chain[t], chain[pred] + 1);
+  for (const TaskId t : order) {
+    const TimeStep next = schedule.start(t) + 1;
+    for (const dag::TaskGraph::Task succ : graph.successors(t)) {
+      if (schedule.start(succ) == next) {
+        chain[succ] = std::max(chain[succ], chain[t] + 1);
       }
     }
     result.realized_critical_path =

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -31,8 +31,9 @@ struct ScheduleAnalysis {
   std::size_t realized_critical_path = 0;
 };
 
-/// Full analysis; requires a complete schedule. O(nk + edges + m*T/64) time.
-ScheduleAnalysis analyze_schedule(const dag::SweepInstance& instance,
+/// Full analysis; requires a complete schedule. O(nk log nk + edges +
+/// m*T/64) time.
+ScheduleAnalysis analyze_schedule(const dag::TaskGraph& graph,
                                   const Schedule& schedule);
 
 std::string to_string(const ScheduleAnalysis& analysis);

@@ -173,11 +173,6 @@ C2Cost sorted_c2(const dag::TaskGraph& tg, const Schedule& schedule,
 
 }  // namespace
 
-C1Cost comm_cost_c1(const dag::SweepInstance& instance,
-                    const Assignment& assignment, std::size_t jobs) {
-  return comm_cost_c1(instance.task_graph(), assignment, jobs);
-}
-
 C1Cost comm_cost_c1(const dag::TaskGraph& tg, const Assignment& assignment,
                     std::size_t jobs) {
   if (assignment.size() != tg.n_cells()) {
@@ -212,12 +207,11 @@ C1Cost comm_cost_c1(const dag::TaskGraph& tg, const Assignment& assignment,
   return cost;
 }
 
-C1Cost comm_cost_c1_reference(const dag::SweepInstance& instance,
+C1Cost comm_cost_c1_reference(const dag::TaskGraph& tg,
                               const Assignment& assignment) {
-  if (assignment.size() != instance.n_cells()) {
+  if (assignment.size() != tg.n_cells()) {
     throw std::invalid_argument("comm_cost_c1: assignment size != n_cells");
   }
-  const dag::TaskGraph& tg = instance.task_graph();
   const std::uint32_t* cell = tg.cells().data();
   C1Cost cost;
   cost.total_edges = tg.n_edges();
@@ -228,11 +222,6 @@ C1Cost comm_cost_c1_reference(const dag::SweepInstance& instance,
     }
   }
   return cost;
-}
-
-C2Cost comm_cost_c2(const dag::SweepInstance& instance,
-                    const Schedule& schedule) {
-  return comm_cost_c2(instance.task_graph(), schedule);
 }
 
 C2Cost comm_cost_c2(const dag::TaskGraph& tg, const Schedule& schedule) {
@@ -251,9 +240,8 @@ C2Cost comm_cost_c2(const dag::TaskGraph& tg, const Schedule& schedule) {
   return sorted_c2(tg, schedule, horizon);
 }
 
-C2Cost comm_cost_c2_reference(const dag::SweepInstance& instance,
+C2Cost comm_cost_c2_reference(const dag::TaskGraph& tg,
                               const Schedule& schedule) {
-  const dag::TaskGraph& tg = instance.task_graph();
   check_c2_schedule(tg, schedule);
   const std::uint32_t* cell = tg.cells().data();
   const std::size_t horizon = schedule.makespan();

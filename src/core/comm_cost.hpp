@@ -30,7 +30,7 @@
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -47,17 +47,11 @@ struct C1Cost {
 /// C1 depends only on the assignment, not on start times. Counted in
 /// parallel over directions; identical for any `jobs` (0 = all cores,
 /// 1 = serial).
-C1Cost comm_cost_c1(const dag::SweepInstance& instance,
-                    const Assignment& assignment, std::size_t jobs = 0);
-
-/// TaskGraph-direct variant used by the serving path (the daemon evaluates
-/// costs straight from an mmap'ed artifact). Identical result to the
-/// instance overload for instance.task_graph().
 C1Cost comm_cost_c1(const dag::TaskGraph& graph, const Assignment& assignment,
                     std::size_t jobs = 0);
 
 /// Preserved serial single-loop C1 (differential baseline).
-C1Cost comm_cost_c1_reference(const dag::SweepInstance& instance,
+C1Cost comm_cost_c1_reference(const dag::TaskGraph& graph,
                               const Assignment& assignment);
 
 struct C2Cost {
@@ -71,18 +65,13 @@ struct C2Cost {
 /// Throws std::invalid_argument if an assignment entry is >= n_processors,
 /// or if makespan * n_processors overflows the packed 64-bit (step, sender)
 /// key space (a schedule that large is malformed, not merely expensive).
-C2Cost comm_cost_c2(const dag::SweepInstance& instance,
-                    const Schedule& schedule);
-
-/// TaskGraph-direct variant (serving path); identical result to the
-/// instance overload for instance.task_graph().
 C2Cost comm_cost_c2(const dag::TaskGraph& graph, const Schedule& schedule);
 
 /// Preserved unordered_map implementation (differential baseline). It
 /// allocates an O(makespan) dense reduction array whatever the horizon
 /// (comm_cost_c2 bounds its dense scratch by the task count and sorts
 /// instead past that), so only feed it schedules with modest horizons.
-C2Cost comm_cost_c2_reference(const dag::SweepInstance& instance,
+C2Cost comm_cost_c2_reference(const dag::TaskGraph& graph,
                               const Schedule& schedule);
 
 }  // namespace sweep::core

@@ -60,9 +60,8 @@ std::size_t greedy_edge_color(
 
 }  // namespace
 
-CommRoundsResult realize_c2_rounds(const dag::SweepInstance& instance,
+CommRoundsResult realize_c2_rounds(const dag::TaskGraph& tg,
                                    const Schedule& schedule) {
-  const dag::TaskGraph& tg = instance.task_graph();
   const std::uint32_t* cell = tg.cells().data();
   const std::size_t horizon = schedule.makespan();
 

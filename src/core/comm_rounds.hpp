@@ -16,7 +16,7 @@
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -31,7 +31,7 @@ struct CommRoundsResult {
 
 /// Builds the per-step message multigraphs of `schedule` and colors them.
 /// The schedule must be complete.
-CommRoundsResult realize_c2_rounds(const dag::SweepInstance& instance,
+CommRoundsResult realize_c2_rounds(const dag::TaskGraph& graph,
                                    const Schedule& schedule);
 
 }  // namespace sweep::core

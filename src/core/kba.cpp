@@ -29,14 +29,13 @@ Assignment kba_assignment(const mesh::StructuredDims& dims, std::size_t px,
   return assignment;
 }
 
-std::vector<std::int64_t> kba_priorities(const dag::SweepInstance& instance,
+std::vector<std::int64_t> kba_priorities(const dag::TaskGraph& tg,
                                          const dag::DirectionSet& directions) {
-  if (directions.size() != instance.n_directions()) {
+  if (directions.size() != tg.n_directions()) {
     throw std::invalid_argument("kba_priorities: direction count mismatch");
   }
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
-  const dag::TaskGraph& tg = instance.task_graph();
+  const std::size_t n = tg.n_cells();
+  const std::size_t k = tg.n_directions();
   const std::span<const std::uint32_t> levels = tg.levels();
   // BIG must dominate any level so octants are strictly ordered.
   const std::int64_t big = static_cast<std::int64_t>(tg.max_level()) + 2;
@@ -55,18 +54,18 @@ std::vector<std::int64_t> kba_priorities(const dag::SweepInstance& instance,
   return priorities;
 }
 
-Schedule kba_schedule(const dag::SweepInstance& instance,
+Schedule kba_schedule(const dag::TaskGraph& graph,
                       const dag::DirectionSet& directions,
                       const mesh::StructuredDims& dims, std::size_t px,
                       std::size_t py) {
-  if (instance.n_cells() != dims.n_cells()) {
+  if (graph.n_cells() != dims.n_cells()) {
     throw std::invalid_argument("kba_schedule: instance/grid size mismatch");
   }
   const Assignment assignment = kba_assignment(dims, px, py);
-  const auto priorities = kba_priorities(instance, directions);
+  const auto priorities = kba_priorities(graph, directions);
   ListScheduleOptions options;
   options.priorities = priorities;
-  return list_schedule(instance, assignment, px * py, options);
+  return list_schedule(graph, assignment, px * py, options);
 }
 
 std::pair<std::size_t, std::size_t> kba_processor_grid(std::size_t m) {

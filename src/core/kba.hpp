@@ -13,7 +13,8 @@
 
 #include "core/schedule.hpp"
 #include "mesh/structured.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/directions.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -27,11 +28,11 @@ Assignment kba_assignment(const mesh::StructuredDims& dims, std::size_t px,
 /// an octant share wavefronts), and within a direction by DAG level. Order:
 /// Gamma(v, i) = octant(i) * BIG + level_i(v), which yields the classic
 /// KBA pipelining when combined with kba_assignment and list scheduling.
-std::vector<std::int64_t> kba_priorities(const dag::SweepInstance& instance,
+std::vector<std::int64_t> kba_priorities(const dag::TaskGraph& graph,
                                          const dag::DirectionSet& directions);
 
 /// Convenience: full KBA baseline schedule on a structured grid.
-Schedule kba_schedule(const dag::SweepInstance& instance,
+Schedule kba_schedule(const dag::TaskGraph& graph,
                       const dag::DirectionSet& directions,
                       const mesh::StructuredDims& dims, std::size_t px,
                       std::size_t py);

@@ -397,13 +397,6 @@ void validate_inputs(std::size_t n, std::size_t total,
 
 }  // namespace
 
-Schedule list_schedule(const dag::SweepInstance& instance,
-                       const Assignment& assignment, std::size_t n_processors,
-                       const ListScheduleOptions& options) {
-  return list_schedule(instance.task_graph(), assignment, n_processors,
-                       options);
-}
-
 Schedule list_schedule(const dag::TaskGraph& tg, const Assignment& assignment,
                        std::size_t n_processors,
                        const ListScheduleOptions& options) {
@@ -567,13 +560,12 @@ Schedule list_schedule_reference(const dag::SweepInstance& instance,
   return schedule;
 }
 
-std::vector<TimeStep> greedy_union_schedule(const dag::SweepInstance& instance,
+std::vector<TimeStep> greedy_union_schedule(const dag::TaskGraph& tg,
                                             std::size_t n_processors,
                                             std::size_t* makespan) {
   if (n_processors == 0) {
     throw std::invalid_argument("greedy_union_schedule: need >= 1 processor");
   }
-  const dag::TaskGraph& tg = instance.task_graph();
   const std::size_t total = tg.n_tasks();
 
   std::vector<TimeStep> step(total, kUnscheduled);

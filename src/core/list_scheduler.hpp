@@ -14,6 +14,7 @@
 
 #include "core/schedule.hpp"
 #include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -35,19 +36,11 @@ struct ListScheduleOptions {
   std::size_t jobs = 1;
 };
 
-/// Runs prioritized list scheduling of `instance` on `n_processors`
+/// Runs prioritized list scheduling of `graph` on `n_processors`
 /// processors under the fixed cell->processor `assignment`.
 /// Guarantees: result is complete and feasible (precedence + same-processor
 /// + one-task-per-slot), and no processor idles while it has a ready,
 /// released task — the "no idle times" property of Algorithm 2.
-Schedule list_schedule(const dag::SweepInstance& instance,
-                       const Assignment& assignment, std::size_t n_processors,
-                       const ListScheduleOptions& options = {});
-
-/// Same engine, driven straight from a flat TaskGraph — the serving path
-/// (sweep_serve) schedules out of an mmap'ed artifact without ever
-/// materializing a SweepInstance. Bit-identical to the instance overload for
-/// the graph that instance.task_graph() returns.
 Schedule list_schedule(const dag::TaskGraph& graph, const Assignment& assignment,
                        std::size_t n_processors,
                        const ListScheduleOptions& options = {});
@@ -66,7 +59,7 @@ Schedule list_schedule_reference(const dag::SweepInstance& instance,
 /// Algorithm 3 and a natural baseline/lower-bound helper. Returns the step at
 /// which each task runs; `makespan` (if non-null) receives the step count.
 /// Within a step at most m tasks run; a task never runs before a predecessor.
-std::vector<TimeStep> greedy_union_schedule(const dag::SweepInstance& instance,
+std::vector<TimeStep> greedy_union_schedule(const dag::TaskGraph& graph,
                                             std::size_t n_processors,
                                             std::size_t* makespan = nullptr);
 

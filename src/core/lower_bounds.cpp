@@ -2,13 +2,16 @@
 
 namespace sweep::core {
 
-LowerBounds compute_lower_bounds(const dag::SweepInstance& instance,
+LowerBounds compute_lower_bounds(const dag::TaskGraph& graph,
                                  std::size_t n_processors) {
   LowerBounds lb;
-  lb.average_load = static_cast<double>(instance.n_tasks()) /
+  lb.average_load = static_cast<double>(graph.n_tasks()) /
                     static_cast<double>(n_processors);
-  lb.directions = instance.n_directions();
-  lb.depth = instance.max_depth();
+  if (graph.n_tasks() > 0) {
+    lb.directions = graph.n_directions();
+    // max_level() is 0-based: a single level reads 0.
+    lb.depth = static_cast<std::size_t>(graph.max_level()) + 1;
+  }
   return lb;
 }
 

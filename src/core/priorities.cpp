@@ -81,19 +81,9 @@ std::vector<TimeStep> random_delays(std::size_t n_directions, util::Rng& rng) {
   return delays;
 }
 
-std::vector<std::int64_t> level_priorities(const dag::SweepInstance& instance) {
-  return level_priorities(instance.task_graph());
-}
-
 std::vector<std::int64_t> level_priorities(const dag::TaskGraph& graph) {
   const std::span<const std::uint32_t> level = graph.levels();
   return {level.begin(), level.end()};
-}
-
-std::vector<std::int64_t> random_delay_priorities(
-    const dag::SweepInstance& instance, const std::vector<TimeStep>& delays,
-    std::size_t jobs) {
-  return random_delay_priorities(instance.task_graph(), delays, jobs);
 }
 
 std::vector<std::int64_t> random_delay_priorities(
@@ -122,13 +112,13 @@ std::vector<std::int64_t> random_delay_priorities(
 }
 
 std::vector<std::int64_t> random_delay_priorities_reference(
-    const dag::SweepInstance& instance, const std::vector<TimeStep>& delays) {
-  if (delays.size() != instance.n_directions()) {
+    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays) {
+  if (delays.size() != graph.n_directions()) {
     throw std::invalid_argument("random_delay_priorities: delays size != k");
   }
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
-  const std::span<const std::uint32_t> level = instance.task_graph().levels();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
+  const std::span<const std::uint32_t> level = graph.levels();
   std::vector<std::int64_t> priorities(n * k);
   for (DirectionId i = 0; i < k; ++i) {
     const auto delay = static_cast<std::int64_t>(delays[i]);
@@ -255,13 +245,13 @@ std::vector<std::int64_t> dfds_priorities_reference(
   return priorities;
 }
 
-std::vector<TimeStep> delay_release_times(const dag::SweepInstance& instance,
+std::vector<TimeStep> delay_release_times(const dag::TaskGraph& graph,
                                           const std::vector<TimeStep>& delays) {
-  if (delays.size() != instance.n_directions()) {
+  if (delays.size() != graph.n_directions()) {
     throw std::invalid_argument("delay_release_times: delays size != k");
   }
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   std::vector<TimeStep> releases(n * k);
   for (DirectionId i = 0; i < k; ++i) {
     std::fill_n(releases.begin() + static_cast<std::ptrdiff_t>(i * n), n,

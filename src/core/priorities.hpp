@@ -30,27 +30,17 @@ std::vector<TimeStep> random_delays(std::size_t n_directions, util::Rng& rng);
 
 /// Level priorities: Gamma(v,i) = level_i(v) (Section 5.2, "Level
 /// Priorities").
-std::vector<std::int64_t> level_priorities(const dag::SweepInstance& instance);
-
-/// TaskGraph-direct variant used by the serving path; identical result to
-/// the instance overload for instance.task_graph().
 std::vector<std::int64_t> level_priorities(const dag::TaskGraph& graph);
 
 /// Algorithm 2 priorities: Gamma(v,i) = level_i(v) + X_i, built in parallel
 /// across directions.
-std::vector<std::int64_t> random_delay_priorities(
-    const dag::SweepInstance& instance, const std::vector<TimeStep>& delays,
-    std::size_t jobs = 0);
-
-/// TaskGraph-direct variant used by the serving path; identical result to
-/// the instance overload for instance.task_graph().
 std::vector<std::int64_t> random_delay_priorities(
     const dag::TaskGraph& graph, const std::vector<TimeStep>& delays,
     std::size_t jobs = 0);
 
 /// Preserved serial twin of random_delay_priorities.
 std::vector<std::int64_t> random_delay_priorities_reference(
-    const dag::SweepInstance& instance, const std::vector<TimeStep>& delays);
+    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays);
 
 /// Descendant priorities (Plimpton et al. [15]): more descendants run first.
 /// Exact (tiled) counts for small DAGs, Cohen-estimated for large ones.
@@ -92,7 +82,7 @@ std::vector<std::int64_t> dfds_priorities_reference(
 /// Per-task release times from per-direction delays: task (v,i) may not
 /// start before X_i. This is how "random delays" are added to heuristics
 /// whose priority scale is not level-based (descendants, DFDS).
-std::vector<TimeStep> delay_release_times(const dag::SweepInstance& instance,
+std::vector<TimeStep> delay_release_times(const dag::TaskGraph& graph,
                                           const std::vector<TimeStep>& delays);
 
 }  // namespace sweep::core

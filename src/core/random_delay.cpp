@@ -35,13 +35,13 @@ void validate_rd_inputs(std::size_t n_cells, std::size_t n_processors,
 /// (combined-DAG layers, already including the random delays), execute the
 /// layers synchronously — within a layer each processor runs its tasks
 /// back-to-back, and layer r+1 starts after the slowest processor of layer r.
-RandomDelayResult execute_layered(const dag::SweepInstance& instance,
+RandomDelayResult execute_layered(const dag::TaskGraph& graph,
                                   std::size_t n_processors,
                                   const std::vector<std::uint32_t>& task_layer,
                                   std::vector<TimeStep> delays,
                                   Assignment assignment) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   const std::size_t total = n * k;
 
   std::uint32_t max_layer = 0;
@@ -91,11 +91,11 @@ RandomDelayResult execute_layered(const dag::SweepInstance& instance,
 
 }  // namespace
 
-RandomDelayResult random_delay_schedule(const dag::SweepInstance& instance,
+RandomDelayResult random_delay_schedule(const dag::TaskGraph& graph,
                                         std::size_t n_processors,
                                         util::Rng& rng, Assignment assignment) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   if (assignment.empty() && n > 0) {
     if (n_processors == 0) {
       throw std::invalid_argument("random_delay_schedule: need >= 1 processor");
@@ -106,9 +106,8 @@ RandomDelayResult random_delay_schedule(const dag::SweepInstance& instance,
 
   std::vector<TimeStep> delays = random_delays(k, rng);
   // Combined layer of task (v,i) = level_i(v) + X_i (step 2 of Algorithm 1).
-  // Levels come flattened from the cached TaskGraph; tasks of direction i
-  // occupy the contiguous id block [i*n, (i+1)*n).
-  const std::span<const std::uint32_t> level = instance.task_graph().levels();
+  // Tasks of direction i occupy the contiguous id block [i*n, (i+1)*n).
+  const std::span<const std::uint32_t> level = graph.levels();
   std::vector<std::uint32_t> task_layer(n * k);
   for (DirectionId i = 0; i < k; ++i) {
     const std::uint32_t delay = delays[i];
@@ -117,15 +116,15 @@ RandomDelayResult random_delay_schedule(const dag::SweepInstance& instance,
       task_layer[base + v] = level[base + v] + delay;
     }
   }
-  return execute_layered(instance, n_processors, task_layer, std::move(delays),
+  return execute_layered(graph, n_processors, task_layer, std::move(delays),
                          std::move(assignment));
 }
 
 RandomDelayResult improved_random_delay_schedule(
-    const dag::SweepInstance& instance, std::size_t n_processors,
+    const dag::TaskGraph& graph, std::size_t n_processors,
     util::Rng& rng, Assignment assignment) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   if (assignment.empty() && n > 0) {
     if (n_processors == 0) {
       throw std::invalid_argument(
@@ -140,7 +139,7 @@ RandomDelayResult improved_random_delay_schedule(
   // DAG H on m machines; L'_{i,j} = direction-i tasks run at step j. Every
   // new level has at most m tasks, which is what the improved analysis needs.
   const std::vector<TimeStep> new_level =
-      greedy_union_schedule(instance, n_processors);
+      greedy_union_schedule(graph, n_processors);
 
   std::vector<TimeStep> delays = random_delays(k, rng);
   std::vector<std::uint32_t> task_layer(n * k);
@@ -151,7 +150,7 @@ RandomDelayResult improved_random_delay_schedule(
       task_layer[base + v] = new_level[base + v] + delay;
     }
   }
-  return execute_layered(instance, n_processors, task_layer, std::move(delays),
+  return execute_layered(graph, n_processors, task_layer, std::move(delays),
                          std::move(assignment));
 }
 

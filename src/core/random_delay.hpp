@@ -12,7 +12,7 @@
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 #include "util/rng.hpp"
 
 namespace sweep::core {
@@ -27,14 +27,14 @@ struct RandomDelayResult {
 /// Algorithm 1. `assignment` may be empty, in which case step 3's uniform
 /// random per-cell assignment is drawn from `rng` (pass a block assignment to
 /// reproduce the Section 5.1 block experiments).
-RandomDelayResult random_delay_schedule(const dag::SweepInstance& instance,
+RandomDelayResult random_delay_schedule(const dag::TaskGraph& graph,
                                         std::size_t n_processors,
                                         util::Rng& rng,
                                         Assignment assignment = {});
 
 /// Algorithm 3: greedy union-DAG preprocessing then random delays.
 RandomDelayResult improved_random_delay_schedule(
-    const dag::SweepInstance& instance, std::size_t n_processors,
+    const dag::TaskGraph& graph, std::size_t n_processors,
     util::Rng& rng, Assignment assignment = {});
 
 }  // namespace sweep::core

@@ -13,10 +13,10 @@ ValidationResult fail(const std::string& message) {
 
 }  // namespace
 
-ValidationResult validate_schedule(const dag::SweepInstance& instance,
+ValidationResult validate_schedule(const dag::TaskGraph& graph,
                                    const Schedule& schedule) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
+  const std::size_t n = graph.n_cells();
+  const std::size_t k = graph.n_directions();
   if (schedule.n_cells() != n || schedule.n_directions() != k) {
     return fail("schedule shape does not match instance");
   }
@@ -43,18 +43,16 @@ ValidationResult validate_schedule(const dag::SweepInstance& instance,
   }
 
   // Precedence: start(u,i) < start(v,i) for every edge.
-  for (DirectionId i = 0; i < k; ++i) {
-    const dag::SweepDag& g = instance.dag(i);
-    for (dag::NodeId u = 0; u < n; ++u) {
-      const TimeStep su = schedule.start(u, i);
-      for (dag::NodeId v : g.successors(u)) {
-        if (schedule.start(v, i) <= su) {
-          std::ostringstream msg;
-          msg << "precedence violated in direction " << i << ": cell " << u
-              << " at t=" << su << " must precede cell " << v
-              << " at t=" << schedule.start(v, i);
-          return fail(msg.str());
-        }
+  for (TaskId t = 0; t < schedule.n_tasks(); ++t) {
+    const TimeStep su = schedule.start(t);
+    for (const dag::TaskGraph::Task succ : graph.successors(t)) {
+      if (schedule.start(succ) <= su) {
+        std::ostringstream msg;
+        msg << "precedence violated in direction " << task_direction(t, n)
+            << ": cell " << task_cell(t, n) << " at t=" << su
+            << " must precede cell " << task_cell(succ, n)
+            << " at t=" << schedule.start(succ);
+        return fail(msg.str());
       }
     }
   }

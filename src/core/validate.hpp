@@ -10,7 +10,7 @@
 #include <string>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -21,7 +21,7 @@ struct ValidationResult {
   explicit operator bool() const { return ok; }
 };
 
-ValidationResult validate_schedule(const dag::SweepInstance& instance,
+ValidationResult validate_schedule(const dag::TaskGraph& graph,
                                    const Schedule& schedule);
 
 }  // namespace sweep::core

@@ -9,6 +9,7 @@
 
 #include "bench/bench_common.hpp"
 #include "core/algorithms.hpp"
+#include "core/analysis.hpp"
 #include "core/assignment.hpp"
 #include "core/comm_cost.hpp"
 #include "core/comm_rounds.hpp"
@@ -39,6 +40,27 @@ std::string describe(const Scenario& s) {
       << " algorithm=" << core::algorithm_name(
              core::all_algorithms()[s.algorithm]);
   return out.str();
+}
+
+/// True for the algorithms that list-schedule without release times, whose
+/// schedules must leave no avoidable idle slot (Algorithm 2's no-idle
+/// property; the delay variants gate tasks on release times, and
+/// Algorithms 1 and 3 are layer-synchronous).
+bool is_work_conserving(core::Algorithm algorithm) {
+  switch (algorithm) {
+    case core::Algorithm::kRandomDelayPriorities:
+    case core::Algorithm::kLevelPriorities:
+    case core::Algorithm::kDescendantPriorities:
+    case core::Algorithm::kDfdsPriorities:
+    case core::Algorithm::kBLevelPriorities:
+      return true;
+    case core::Algorithm::kRandomDelay:
+    case core::Algorithm::kImprovedRandomDelay:
+    case core::Algorithm::kDescendantDelays:
+    case core::Algorithm::kDfdsDelays:
+      return false;
+  }
+  return false;
 }
 
 /// Independent re-simulation of the layer-synchronous execution of
@@ -139,7 +161,10 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
   util::Rng assignment_rng(s.seed * 7 + 1);
   const Assignment assignment = core::random_assignment(n, m, assignment_rng);
 
-  // Oracle 1: feasibility + completeness of the scheduled algorithm.
+  // Oracle 1: feasibility + completeness of the scheduled algorithm, and
+  // work conservation (Algorithm 2's no-idle property) for every list
+  // schedule without release times: no processor idles while one of its
+  // tasks is ready.
   std::optional<Schedule> schedule;
   check("validate", [&] {
     util::Rng rng(s.seed);
@@ -147,28 +172,28 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
                                          assignment));
     const auto valid = core::validate_schedule(*instance, *schedule);
     if (!valid) fail("validate", "infeasible schedule: " + valid.error);
-    if (!schedule->complete()) fail("validate", "schedule is incomplete");
+    if (!schedule->complete()) {
+      fail("validate", "schedule is incomplete");
+      return;
+    }
+    if (is_work_conserving(algorithm)) {
+      const std::size_t idle =
+          core::analyze_schedule(*instance, *schedule).avoidable_idle_slots;
+      if (idle != 0) {
+        fail("validate", std::to_string(idle) +
+                             " avoidable idle slots in a list schedule");
+      }
+    }
   });
   if (!schedule) return;
 
-  // Oracle 2: lower-bound sanity. makespan >= max{ceil(nk/m), k, D} with
-  // the k and D bounds applying only when there are cells to schedule
-  // (D = max level count = longest critical path of unit tasks).
+  // Oracle 2: lower-bound sanity: no schedule beats max{nk/m, k, D}.
   check("lower_bound", [&] {
     const std::size_t makespan = schedule->makespan();
-    const std::size_t avg = (n * k + m - 1) / m;  // ceil(nk/m)
-    std::size_t lb = avg;
-    if (n > 0) lb = std::max(lb, k);
-    lb = std::max(lb, instance->max_depth());
-    if (makespan < lb) {
+    const double lb = core::compute_lower_bounds(*instance, m).value();
+    if (static_cast<double>(makespan) + 1e-9 < lb) {
       fail("lower_bound", "makespan " + std::to_string(makespan) +
                               " below lower bound " + std::to_string(lb));
-    }
-    if (n > 0) {
-      const auto bounds = core::compute_lower_bounds(*instance, m);
-      if (static_cast<double>(makespan) + 1e-9 < bounds.value()) {
-        fail("lower_bound", "makespan below compute_lower_bounds value");
-      }
     }
   });
 
@@ -224,7 +249,9 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
   check("improved_rd_invariants", [&] {
     util::Rng rng(s.seed + 2);
     const auto result = core::improved_random_delay_schedule(*instance, m, rng);
-    const auto new_level = core::greedy_union_schedule(*instance, m);
+    std::size_t greedy_makespan = 0;
+    const auto new_level =
+        core::greedy_union_schedule(*instance, m, &greedy_makespan);
     // Preprocessing guarantee: every greedy step runs at most m tasks.
     std::vector<std::size_t> width;
     for (const TimeStep step : new_level) {
@@ -237,6 +264,16 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
              "greedy union level wider than m tasks");
         break;
       }
+    }
+    // Graham's bound: a step below m tasks runs every ready task, so it
+    // shortens the longest remaining chain; at most D steps do that and at
+    // most floor(nk/m) steps are full.
+    const std::size_t graham = (n * k + m - 1) / m + instance->max_depth();
+    if (greedy_makespan > graham) {
+      fail("improved_rd_invariants",
+           "greedy union makespan " + std::to_string(greedy_makespan) +
+               " above Graham's bound ceil(nk/m) + D = " +
+               std::to_string(graham));
     }
     recheck_random_delay(*instance, m, result, new_level,
                          "improved_rd_invariants", report);

@@ -8,6 +8,7 @@
 #include "core/assignment.hpp"
 #include "core/comm_cost.hpp"
 #include "core/list_scheduler.hpp"
+#include "core/lower_bounds.hpp"
 #include "core/priorities.hpp"
 #include "obs/obs.hpp"
 #include "util/hash.hpp"
@@ -284,24 +285,18 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
 #if !defined(SWEEP_OBS_DISABLE)
   if (obs_armed) {
     SWEEP_OBS_HIST_RECORD("serve.cost_ns", obs_lap());
-    // Schedule-quality telemetry for daemon-served queries. The lower
-    // bound is the coarse closed-form one (work / m, direction count,
-    // critical path) — computable from the task graph alone, no
-    // SweepInstance needed.
-    const auto n_tasks = static_cast<std::uint64_t>(tg.n_tasks());
-    const std::uint64_t lb =
-        std::max({(n_tasks + m - 1) / m, static_cast<std::uint64_t>(k),
-                  static_cast<std::uint64_t>(tg.max_level()) + 1});
+    // Schedule-quality telemetry for daemon-served queries, against the
+    // paper's lower bound max{nk/m, k, D}.
+    const double lb = core::compute_lower_bounds(tg, m).value();
     SWEEP_OBS_OBSERVE("quality.makespan", makespan);
     if (lb > 0) {
       SWEEP_OBS_OBSERVE("quality.makespan_over_lb",
-                        static_cast<double>(makespan) /
-                            static_cast<double>(lb));
+                        static_cast<double>(makespan) / lb);
     }
     if (makespan > 0) {
       SWEEP_OBS_OBSERVE(
           "quality.idle_fraction",
-          1.0 - static_cast<double>(n_tasks) /
+          1.0 - static_cast<double>(tg.n_tasks()) /
                     (static_cast<double>(makespan) * static_cast<double>(m)));
     }
     if (c1.total_edges > 0) {

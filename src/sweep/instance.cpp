@@ -87,17 +87,8 @@ std::size_t SweepInstance::total_edges() const {
 SweepInstance build_instance(const mesh::UnstructuredMesh& mesh,
                              const DirectionSet& dirs, double tolerance,
                              InstanceBuildStats* stats) {
-  std::vector<SweepDag> dags;
-  dags.reserve(dirs.size());
-  InstanceBuildStats local;
-  for (const Vec3& d : dirs.directions) {
-    DagBuildResult r = build_sweep_dag(mesh, d, tolerance);
-    local.total_induced_edges += r.induced_edges;
-    local.total_dropped_edges += r.dropped_edges;
-    dags.push_back(std::move(r.dag));
-  }
-  if (stats != nullptr) *stats = local;
-  return SweepInstance(mesh.n_cells(), std::move(dags), mesh.name());
+  // parallel_for with one thread runs inline on the caller.
+  return build_instance_parallel(mesh, dirs, tolerance, stats, 1);
 }
 
 SweepInstance build_instance_parallel(const mesh::UnstructuredMesh& mesh,

@@ -42,6 +42,11 @@ class SweepInstance {
   /// lazily on first call and cached; safe to call concurrently.
   [[nodiscard]] const TaskGraph& task_graph() const;
 
+  /// An instance is its task graph wherever sweep_core reads only n, k and
+  /// the CSR (DESIGN.md §8.1), so those functions take a TaskGraph and an
+  /// instance passes for one.
+  operator const TaskGraph&() const { return task_graph(); }
+
   /// Exact |descendants| of every cell in direction i (the tiled transitive
   /// closure, see sweep/descendants.hpp). The counts are rng-independent
   /// and trial-invariant, so they are cached per direction: the figure
@@ -90,9 +95,9 @@ SweepInstance build_instance(const mesh::UnstructuredMesh& mesh,
                              const DirectionSet& dirs, double tolerance = 1e-9,
                              InstanceBuildStats* stats = nullptr);
 
-/// Thread-parallel variant: directions are induced concurrently (they are
-/// independent reads of the mesh). Produces the identical instance as
-/// build_instance; `threads` = 0 uses hardware concurrency.
+/// Same, with directions induced concurrently (they are independent reads
+/// of the mesh); `threads` = 0 uses hardware concurrency, and
+/// build_instance is this with `threads` = 1.
 SweepInstance build_instance_parallel(const mesh::UnstructuredMesh& mesh,
                                       const DirectionSet& dirs,
                                       double tolerance = 1e-9,

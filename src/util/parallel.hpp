@@ -65,16 +65,18 @@ void run_chunks(ParallelForState& state, F& body) {
 /// executors (0 = all pool workers plus the caller). Blocks until all
 /// indices finish. body must be thread-safe for distinct i. If body throws,
 /// remaining chunks are abandoned and the first exception is rethrown here.
+/// threads == 1 runs the loop inline without touching the pool, so it does
+/// not start the pool's workers either.
 template <typename F>
 void parallel_for(std::size_t count, F&& body, std::size_t threads = 0) {
   if (count == 0) return;
-  ThreadPool& pool = ThreadPool::global();
-  if (threads == 0) threads = pool.size() + 1;
+  if (threads == 0) threads = ThreadPool::global().size() + 1;
   threads = std::min(threads, count);
   if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
+  ThreadPool& pool = ThreadPool::global();
 
   auto state = std::make_shared<detail::ParallelForState>();
   state->count = count;

@@ -74,6 +74,24 @@ TEST(Algorithms, RdPrioritiesBeatsPlainRdAtHighProcessorCounts) {
   EXPECT_LT(prio.makespan(), plain.makespan());
 }
 
+TEST(LowerBounds, InstanceWithoutCellsHasBoundZero) {
+  // n = 0, k = 3: every schedule, the optimum included, has makespan 0, so
+  // neither the k term nor the D term may apply.
+  std::vector<dag::SweepDag> dags;
+  for (int i = 0; i < 3; ++i) dags.push_back(test::make_dag(0, {}));
+  const dag::SweepInstance inst(0, std::move(dags), "no-cells");
+  const LowerBounds lb = compute_lower_bounds(inst, 4);
+  EXPECT_EQ(lb.directions, 0u);
+  EXPECT_EQ(lb.depth, 0u);
+  EXPECT_EQ(lb.value(), 0.0);
+  for (Algorithm algorithm : all_algorithms()) {
+    util::Rng rng(5);
+    const Schedule s = run_algorithm(algorithm, inst, 4, rng);
+    EXPECT_GE(static_cast<double>(s.makespan()), lb.value())
+        << algorithm_name(algorithm);
+  }
+}
+
 TEST(ApproximationRatio, ZeroLowerBoundIsSafe) {
   Schedule s(1, 1, 1, Assignment{0});
   s.set_start(0, 0);

@@ -14,10 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis.hpp"
+#include "core/assignment.hpp"
+#include "core/list_scheduler.hpp"
+#include "core/lower_bounds.hpp"
+#include "core/priorities.hpp"
+#include "core/random_delay.hpp"
+#include "core/validate.hpp"
 #include "sweep/artifact.hpp"
 #include "sweep/directions.hpp"
 #include "sweep/random_dag.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace sweep::dag {
 namespace {
@@ -105,6 +113,67 @@ TEST(Artifact, PackLoadIsTheIdentityOnTheTaskGraph) {
   EXPECT_FALSE(artifact->has_directions());
   EXPECT_FALSE(artifact->has_descendants());
   EXPECT_EQ(artifact->n_partitions(), 0u);
+}
+
+TEST(Artifact, ChecksAndBoundsReadTheLoadedGraphLikeTheInstance) {
+  // validate_schedule, analyze_schedule and compute_lower_bounds take a
+  // TaskGraph: on the zero-copy graph of a packed instance they must give
+  // exactly what they give on the instance itself.
+  const SweepInstance instance = make_instance();
+  const auto artifact = Artifact::from_memory(pack_artifact(instance));
+  const TaskGraph& graph = artifact->task_graph();
+  ASSERT_TRUE(graph.borrows());
+  const std::size_t m = 4;
+  util::Rng rng(3);
+  const core::Assignment assignment =
+      core::random_assignment(instance.n_cells(), m, rng);
+  const auto priorities = core::random_delay_priorities(
+      instance, core::random_delays(instance.n_directions(), rng));
+  core::ListScheduleOptions options;
+  options.priorities = priorities;
+  // A list schedule (no avoidable idle) and a layer-synchronous one (some).
+  std::vector<core::Schedule> schedules;
+  schedules.push_back(core::list_schedule(instance, assignment, m, options));
+  schedules.push_back(
+      core::random_delay_schedule(instance, m, rng, assignment).schedule);
+  for (const core::Schedule& schedule : schedules) {
+    EXPECT_TRUE(core::validate_schedule(instance, schedule));
+    EXPECT_TRUE(core::validate_schedule(graph, schedule));
+    const core::ScheduleAnalysis want = core::analyze_schedule(instance, schedule);
+    const core::ScheduleAnalysis got = core::analyze_schedule(graph, schedule);
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.total_idle_slots, want.total_idle_slots);
+    EXPECT_EQ(got.avoidable_idle_slots, want.avoidable_idle_slots);
+    EXPECT_EQ(got.min_load, want.min_load);
+    EXPECT_EQ(got.max_load, want.max_load);
+    EXPECT_EQ(got.mean_utilization, want.mean_utilization);
+    EXPECT_EQ(got.direction_finish, want.direction_finish);
+    EXPECT_EQ(got.realized_critical_path, want.realized_critical_path);
+  }
+  EXPECT_EQ(core::analyze_schedule(graph, schedules[0]).avoidable_idle_slots,
+            0u);
+  EXPECT_GT(core::analyze_schedule(graph, schedules[1]).avoidable_idle_slots,
+            0u);
+
+  // Break one edge: both report the same first violation.
+  core::Schedule broken = schedules[0];
+  std::size_t from = 0;
+  while (graph.out_degree(from) == 0) ++from;
+  broken.set_start(graph.successors(from)[0], broken.start(from));
+  const core::ValidationResult want = core::validate_schedule(instance, broken);
+  const core::ValidationResult got = core::validate_schedule(graph, broken);
+  EXPECT_FALSE(got);
+  EXPECT_NE(got.error.find("precedence"), std::string::npos);
+  EXPECT_EQ(got.error, want.error);
+
+  for (const std::size_t procs : {1u, 4u, 7u, 1000u}) {
+    const core::LowerBounds want_lb = core::compute_lower_bounds(instance, procs);
+    const core::LowerBounds got_lb = core::compute_lower_bounds(graph, procs);
+    EXPECT_EQ(got_lb.average_load, want_lb.average_load);
+    EXPECT_EQ(got_lb.directions, want_lb.directions);
+    EXPECT_EQ(got_lb.depth, want_lb.depth);
+    EXPECT_EQ(got_lb.depth, static_cast<std::size_t>(graph.max_level()) + 1);
+  }
 }
 
 TEST(Artifact, LoadIsZeroCopy) {

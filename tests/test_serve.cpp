@@ -25,7 +25,9 @@
 #include "core/assignment.hpp"
 #include "core/comm_cost.hpp"
 #include "core/list_scheduler.hpp"
+#include "core/lower_bounds.hpp"
 #include "core/priorities.hpp"
+#include "core/validate.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/frame.hpp"
@@ -489,6 +491,34 @@ TEST(ServeService, QueriesAreBitIdenticalToTheInProcessPath) {
   EXPECT_EQ(service.errors_returned(), 0u);
 }
 
+TEST(ServeService, ServedStartsValidateAgainstTheServedGraph) {
+  // The daemon holds only the artifact's TaskGraph, and that is enough to
+  // check what it serves: feasibility and the lower bound, per scheme.
+  ServeService service = make_service(make_instance());
+  const dag::TaskGraph& graph = service.artifact()->task_graph();
+  for (const Scheme scheme :
+       {Scheme::kLevel, Scheme::kRandomDelay, Scheme::kDescendant}) {
+    const std::uint32_t m = 5;
+    const std::uint64_t seed = 41;
+    Request request = query_request(scheme, m, seed);
+    request.query.want_starts = true;
+    const Response r = service.handle(request);
+    ASSERT_EQ(r.status, 0u) << r.error;
+    util::Rng rng(seed);  // the recipe's assignment draw (serve/service.hpp)
+    core::Schedule schedule(graph.n_cells(), graph.n_directions(), m,
+                            core::random_assignment(graph.n_cells(), m, rng));
+    ASSERT_EQ(r.query.starts.size(), schedule.n_tasks());
+    for (std::size_t t = 0; t < schedule.n_tasks(); ++t) {
+      schedule.set_start(t, r.query.starts[t]);
+    }
+    const core::ValidationResult valid = core::validate_schedule(graph, schedule);
+    EXPECT_TRUE(valid) << valid.error;
+    EXPECT_EQ(schedule.makespan(), r.query.makespan);
+    EXPECT_GE(static_cast<double>(r.query.makespan),
+              core::compute_lower_bounds(graph, m).value());
+  }
+}
+
 TEST(ServeService, ErrorStatusesInsteadOfThrows) {
   const dag::SweepInstance instance = make_instance();
   ServeService service = make_service(instance, /*descendants=*/false);
@@ -687,6 +717,34 @@ TEST(ServeService, ArmedStatsCarryHistogramsAndQuality) {
 #endif
   obs::MetricsRegistry::instance().reset();
 }
+
+#if !defined(SWEEP_OBS_DISABLE)
+TEST(ServeService, QualityRatioUsesTheCoreLowerBound) {
+  // m = 7 does not divide nk = 80 * 3 = 240, so the bound's average-load
+  // term is 240/7 (about 34.3), not its ceiling 35: the served ratio must be
+  // makespan / compute_lower_bounds, the bound every report uses.
+  obs::MetricsRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
+  const dag::SweepInstance instance = make_instance();
+  ServeService service = make_service(instance);
+  const Response r = service.handle(query_request(Scheme::kLevel, 7, 3));
+  obs::set_metrics_enabled(false);
+  ASSERT_EQ(r.status, 0u) << r.error;
+  const core::LowerBounds lb = core::compute_lower_bounds(instance, 7);
+  ASSERT_GT(lb.average_load, static_cast<double>(lb.depth));
+  const double want = static_cast<double>(r.query.makespan) / lb.value();
+  bool found = false;
+  for (const auto& v : obs::MetricsRegistry::instance().snapshot().stats) {
+    if (v.name == "quality.makespan_over_lb") {
+      found = true;
+      EXPECT_EQ(v.count, 1u);
+      EXPECT_DOUBLE_EQ(v.min, want);
+    }
+  }
+  EXPECT_TRUE(found);
+  obs::MetricsRegistry::instance().reset();
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // ScheduleCache unit tests (DESIGN.md §15)

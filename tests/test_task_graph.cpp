@@ -84,6 +84,9 @@ TEST(TaskGraph, CachedOnInstance) {
   const auto inst = random_instance(30, 2, 4, 1.5, 7);
   const TaskGraph* first = &inst.task_graph();
   EXPECT_EQ(first, &inst.task_graph());
+  // An instance converts to that same cached graph, with no copy.
+  const TaskGraph& converted = inst;
+  EXPECT_EQ(&converted, first);
 }
 
 TEST(TaskGraph, CopyGetsFreshCache) {
