@@ -11,7 +11,11 @@
 // counters — must stay under 1% over disarmed.
 //
 // One plain loop per mode, so the three modes share the exact same
-// instance, assignment, and iteration structure:
+// instance, assignment, and iteration structure. Single measurements of
+// the serve section have read from -3.5% to +1.4% on a shared 4-core host,
+// a spread wider than the bar, so each section measures kRuns times and
+// prints every run's armed overheads and their median, which is what the
+// bars apply to:
 //   obs_overhead [--n 20000] [--k 8] [--m 32] [--reps 30]
 
 #include <unistd.h>
@@ -48,9 +52,46 @@ void arm(Mode mode) {
   }
 }
 
-double median(std::vector<double>& times) {
+/// Measurements per section; the bars read their median.
+constexpr std::size_t kRuns = 5;
+
+/// Mode orders, rotated from one timed call to the next, so that no mode
+/// always runs first or last.
+constexpr Mode kOrders[3][3] = {{Mode::kOff, Mode::kMetrics, Mode::kFull},
+                                {Mode::kMetrics, Mode::kFull, Mode::kOff},
+                                {Mode::kFull, Mode::kOff, Mode::kMetrics}};
+
+double median(std::vector<double> times) {
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+/// One run's per-mode medians (seconds).
+struct Medians {
+  double off = 0.0;
+  double metrics = 0.0;
+  double full = 0.0;
+  [[nodiscard]] double metrics_pct() const {
+    return 100.0 * (metrics / off - 1.0);
+  }
+  [[nodiscard]] double full_pct() const { return 100.0 * (full / off - 1.0); }
+};
+
+/// Prints each run's armed overheads and their medians.
+void print_runs(const std::vector<Medians>& runs, double unit,
+                const char* unit_name) {
+  std::vector<double> metrics_pct, full_pct;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const Medians& m = runs[r];
+    std::printf("  run %zu: off %9.3f %s  metrics %+6.2f%%  metrics + trace "
+                "%+6.2f%%\n",
+                r + 1, m.off * unit, unit_name, m.metrics_pct(), m.full_pct());
+    metrics_pct.push_back(m.metrics_pct());
+    full_pct.push_back(m.full_pct());
+  }
+  std::printf("  median of %zu runs: metrics %+.2f%%  metrics + trace "
+              "%+.2f%%\n",
+              runs.size(), median(metrics_pct), median(full_pct));
 }
 
 }  // namespace
@@ -79,39 +120,43 @@ static int run_main(int argc, char** argv) {
   const auto assignment = core::random_assignment(n, m, rng);
   (void)instance.task_graph();  // warm the lazy CSR outside the timing
 
-  // Interleave the three modes within every rep (off, metrics, full) so
+  // Interleave the three modes within every rep, in rotating order, so
   // machine-load drift and frequency scaling hit all modes equally; report
   // per-mode medians. Medians are robust against scheduler hiccups.
   std::size_t checksum_off = 0, checksum_metrics = 0, checksum_full = 0;
-  std::vector<double> times_off, times_metrics, times_full;
-  times_off.reserve(reps);
-  times_metrics.reserve(reps);
-  times_full.reserve(reps);
-
   arm(Mode::kOff);
   // Warm-up: touch code and data once before any timed rep.
   (void)core::list_schedule(instance, assignment, m);
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (const Mode mode : {Mode::kOff, Mode::kMetrics, Mode::kFull}) {
-      arm(mode);
-      util::Timer timer;
-      const auto schedule = core::list_schedule(instance, assignment, m);
-      const double t = timer.seconds();
-      const std::size_t makespan = schedule.makespan();
-      switch (mode) {
-        case Mode::kOff: times_off.push_back(t); checksum_off += makespan; break;
-        case Mode::kMetrics:
-          times_metrics.push_back(t);
-          checksum_metrics += makespan;
-          break;
-        case Mode::kFull: times_full.push_back(t); checksum_full += makespan; break;
+  std::vector<Medians> engine_runs;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    std::vector<double> times_off, times_metrics, times_full;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      for (const Mode mode : kOrders[rep % 3]) {
+        arm(mode);
+        util::Timer timer;
+        const auto schedule = core::list_schedule(instance, assignment, m);
+        const double t = timer.seconds();
+        const std::size_t makespan = schedule.makespan();
+        switch (mode) {
+          case Mode::kOff:
+            times_off.push_back(t);
+            checksum_off += makespan;
+            break;
+          case Mode::kMetrics:
+            times_metrics.push_back(t);
+            checksum_metrics += makespan;
+            break;
+          case Mode::kFull:
+            times_full.push_back(t);
+            checksum_full += makespan;
+            break;
+        }
       }
     }
+    engine_runs.push_back(
+        {median(times_off), median(times_metrics), median(times_full)});
   }
   arm(Mode::kOff);
-  const double t_off = median(times_off);
-  const double t_metrics = median(times_metrics);
-  const double t_full = median(times_full);
 
   if (checksum_metrics != checksum_off || checksum_full != checksum_off) {
     std::fprintf(stderr,
@@ -124,13 +169,9 @@ static int run_main(int argc, char** argv) {
 #if defined(SWEEP_OBS_DISABLE)
   std::printf("built with SWEEP_OBS=OFF: macros are compiled out\n");
 #endif
-  std::printf("list_schedule on %zu cells x %zu dirs, m=%zu, %zu reps "
-              "(median):\n", n, k, m, reps);
-  std::printf("  obs off            %8.3f ms\n", t_off * 1e3);
-  std::printf("  metrics            %8.3f ms  (%+.2f%%)\n", t_metrics * 1e3,
-              100.0 * (t_metrics / t_off - 1.0));
-  std::printf("  metrics + trace    %8.3f ms  (%+.2f%%)\n", t_full * 1e3,
-              100.0 * (t_full / t_off - 1.0));
+  std::printf("list_schedule on %zu cells x %zu dirs, m=%zu, %zu runs of %zu "
+              "reps (per-mode medians):\n", n, k, m, kRuns, reps);
+  print_runs(engine_runs, 1e3, "ms");
   std::printf("identical schedules in all three modes (checksum %zu)\n",
               checksum_off);
 
@@ -174,47 +215,48 @@ static int run_main(int argc, char** argv) {
 
   std::uint64_t serve_check_off = 0, serve_check_metrics = 0,
                 serve_check_full = 0;
-  std::vector<double> serve_off, serve_metrics, serve_full;
-  serve_off.reserve(reps * serve_reqs);
-  serve_metrics.reserve(reps * serve_reqs);
-  serve_full.reserve(reps * serve_reqs);
   arm(Mode::kOff);
   {
     std::vector<double> warm;
     (void)serve_one(0, warm);
   }
-  constexpr Mode kOrders[3][3] = {
-      {Mode::kOff, Mode::kMetrics, Mode::kFull},
-      {Mode::kMetrics, Mode::kFull, Mode::kOff},
-      {Mode::kFull, Mode::kOff, Mode::kMetrics}};
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (std::size_t i = 0; i < serve_reqs; ++i) {
-      for (const Mode mode : kOrders[(rep * serve_reqs + i) % 3]) {
-        arm(mode);
-        switch (mode) {
-          case Mode::kOff: serve_check_off += serve_one(i, serve_off); break;
-          case Mode::kMetrics:
-            serve_check_metrics += serve_one(i, serve_metrics);
-            break;
-          case Mode::kFull:
-            serve_check_full += serve_one(i, serve_full);
-            break;
+  std::vector<Medians> serve_runs;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    std::vector<double> serve_off, serve_metrics, serve_full;
+    serve_off.reserve(reps * serve_reqs);
+    serve_metrics.reserve(reps * serve_reqs);
+    serve_full.reserve(reps * serve_reqs);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      for (std::size_t i = 0; i < serve_reqs; ++i) {
+        for (const Mode mode : kOrders[(rep * serve_reqs + i) % 3]) {
+          arm(mode);
+          switch (mode) {
+            case Mode::kOff: serve_check_off += serve_one(i, serve_off); break;
+            case Mode::kMetrics:
+              serve_check_metrics += serve_one(i, serve_metrics);
+              break;
+            case Mode::kFull:
+              serve_check_full += serve_one(i, serve_full);
+              break;
+          }
         }
       }
+      // One stats frame per rep keeps the armed snapshot path exercised; it
+      // is not part of the per-request distribution.
+      arm(Mode::kMetrics);
+      serve::Request stats;
+      stats.type = serve::MsgType::kStats;
+      const std::uint32_t status = service.handle(stats).status;
+      serve_check_off += status;
+      serve_check_metrics += status;
+      serve_check_full += status;
+      // Drop the full-mode spans accumulated this rep: tens of MB of live
+      // trace events would degrade cache behaviour for every mode and the
+      // buffer is not what this bench measures.
+      obs::clear_trace();
     }
-    // One stats frame per rep keeps the armed snapshot path exercised; it
-    // is not part of the per-request distribution.
-    arm(Mode::kMetrics);
-    serve::Request stats;
-    stats.type = serve::MsgType::kStats;
-    const std::uint32_t status = service.handle(stats).status;
-    serve_check_off += status;
-    serve_check_metrics += status;
-    serve_check_full += status;
-    // Drop the full-mode spans accumulated this rep: tens of MB of live
-    // trace events would degrade cache behaviour for every mode and the
-    // buffer is not what this bench measures.
-    obs::clear_trace();
+    serve_runs.push_back(
+        {median(serve_off), median(serve_metrics), median(serve_full)});
   }
   arm(Mode::kOff);
   std::remove(artifact_path.c_str());
@@ -229,19 +271,12 @@ static int run_main(int argc, char** argv) {
                  static_cast<unsigned long long>(serve_check_full));
     return 2;
   }
-  const double s_off = median(serve_off);
-  const double s_metrics = median(serve_metrics);
-  const double s_full = median(serve_full);
-  std::printf("\nserve path: per-request median over %zu queries per mode "
-              "on %zu cells (%zu reps x %zu, rotating order):\n",
-              reps * serve_reqs, serve_n, reps, serve_reqs);
-  std::printf("  obs off            %8.1f us\n", s_off * 1e6);
-  std::printf("  metrics            %8.1f us  (%+.2f%%)\n", s_metrics * 1e6,
-              100.0 * (s_metrics / s_off - 1.0));
-  std::printf("  metrics + trace    %8.1f us  (%+.2f%%)\n", s_full * 1e6,
-              100.0 * (s_full / s_off - 1.0));
+  std::printf("\nserve path: per-request medians over %zu queries per mode "
+              "on %zu cells, %zu runs of %zu reps x %zu (rotating order):\n",
+              reps * serve_reqs, serve_n, kRuns, reps, serve_reqs);
+  print_runs(serve_runs, 1e6, "us");
   std::printf("identical responses in all three modes (checksum %llu); "
-              "armed target < 1%%\n",
+              "armed target < 1%% (median of runs)\n",
               static_cast<unsigned long long>(serve_check_off));
   return 0;
 }

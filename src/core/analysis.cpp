@@ -7,12 +7,17 @@
 namespace sweep::core {
 
 ScheduleAnalysis analyze_schedule(const dag::TaskGraph& graph,
-                                  const Schedule& schedule) {
+                                  const Schedule& schedule,
+                                  std::span<const TimeStep> release_times,
+                                  TimeStep cross_message_delay) {
   const std::size_t n = graph.n_cells();
   const std::size_t k = graph.n_directions();
   const std::size_t total = n * k;
   if (schedule.n_tasks() != total) {
     throw std::invalid_argument("analyze_schedule: shape mismatch");
+  }
+  if (!release_times.empty() && release_times.size() != total) {
+    throw std::invalid_argument("analyze_schedule: release_times size != n*k");
   }
   if (!schedule.complete()) {
     throw std::invalid_argument("analyze_schedule: incomplete schedule");
@@ -41,12 +46,22 @@ ScheduleAnalysis analyze_schedule(const dag::TaskGraph& graph,
           : static_cast<double>(total) /
                 static_cast<double>(result.makespan * m);
 
-  // Ready times: max over predecessors of (start + 1).
+  // Ready times, by the engine's gates: the release time, and over
+  // predecessors start + 1, plus the cross-message delay when the
+  // predecessor ran on another processor.
   std::vector<TimeStep> ready(total, 0);
+  if (!release_times.empty()) {
+    ready.assign(release_times.begin(), release_times.end());
+  }
   for (TaskId t = 0; t < total; ++t) {
     const TimeStep finish = schedule.start(t) + 1;
+    const ProcessorId p = schedule.processor_of_cell(graph.cell(t));
     for (const dag::TaskGraph::Task succ : graph.successors(t)) {
-      ready[succ] = std::max(ready[succ], finish);
+      const TimeStep due =
+          schedule.processor_of_cell(graph.cell(succ)) != p
+              ? finish + cross_message_delay
+              : finish;
+      ready[succ] = std::max(ready[succ], due);
     }
   }
 

@@ -14,7 +14,10 @@
 // Evaluation throughput (DESIGN.md §11): C1 fans the edge scan out across
 // directions (each direction's tasks are a contiguous id range with
 // same-direction successors, so per-direction cross-edge counts sum without
-// synchronization). C2 is one linear pass over the tasks: each task's
+// synchronization); within direction i a successor's processor is
+// assignment[succ - i*n], and the cross test is added to the count rather
+// than branched on, since block assignments make it unpredictable. C2 is
+// one linear pass over the tasks: each task's
 // cross-processor successor count folds into its step's maximum, and a
 // one-bit-per-(step, processor) occupancy bitmap confirms no two tasks
 // share a slot, so the per-task maximum is the per-sender maximum the model

@@ -27,18 +27,28 @@ constexpr std::uint64_t kMaxTotalBuckets = 1u << 20;
 /// (trial fan-outs run thousands of schedules per thread); reusing the
 /// per-call lanes instead of reallocating them avoids ~1MB of
 /// mmap/page-zeroing traffic per call. The hot lanes (packed, task_at,
-/// bitmap, owner, shift, hint, queued, active_flag) live as a
-/// structure-of-arrays in one 64-byte-aligned arena — each lane starts on
-/// its own cache line and the per-call carve-out is free once the arena is
-/// warm. The slot order and the per-processor loads stay vectors: they
-/// decide the slot space, and so the arena's size. Lanes are either
-/// zero-filled per call (bitmap, queued, active_flag) or fully overwritten
-/// before use (hint is only read for processors with queued tasks).
+/// bitmap, owner, shift, hint, queued, active_flag) and the per-step
+/// m-sized buffers live as a structure-of-arrays in one 64-byte-aligned
+/// arena — each lane starts on its own cache line and the per-call
+/// carve-out is free once the arena is warm. The slot order, the
+/// per-processor loads and the per-step edge buffers stay vectors: the
+/// first two decide the slot space, and so the arena's size, and the edge
+/// buffers grow to the most edges one step resolves, which only the run
+/// finds out. Lanes are zero-filled per call (bitmap, queued, active_flag),
+/// set per call (hint) or written before they are read (the rest).
 struct SlotScratch {
   std::vector<std::uint32_t> counts;  // (processor, priority) or priority counts
   std::vector<Task32> by_priority;    // tasks in (priority, task id) order
   std::vector<std::uint32_t> load;    // tasks per processor, then a cursor
+  std::vector<Task32> step_succ;      // one step's successors, edge by edge
+  std::vector<ProcessorId> step_from; // their sources' processors (gated)
   util::Arena arena;
+};
+
+/// One finished task's successor row: targets()[begin, end).
+struct Row {
+  std::uint32_t begin;
+  std::uint32_t end;
 };
 
 SlotScratch& slot_scratch() {
@@ -150,8 +160,24 @@ SlotLayout order_slots(const dag::TaskGraph& tg, const Assignment& assignment,
 /// The per-task Word packs (slot << bits) | remaining_indegree, so the edge
 /// walk's decrement also delivers the slot of a newly-ready task for free.
 /// task_at lists the tasks in slot order without the padding: slot s of
-/// processor p holds task_at[s - shift[p]]. kGated compiles the release-time
-/// / cross-message-delay machinery out entirely for the common ungated call.
+/// processor p holds task_at[s - shift[p]].
+///
+/// Each timestep resolves its finished tasks in passes, so that the loads
+/// one step needs are in flight together instead of one dependent miss
+/// after another (pop -> offsets -> targets -> packed): the pop loop
+/// prefetches each popped task's offsets entry; a second pass reads the
+/// row bounds and prefetches each targets row; a third gathers the step's
+/// successors into a per-step buffer, prefetching each one's packed word;
+/// the last decrements. The push in that last pass has no data-dependent
+/// branch (the decrement reaches zero about half the time, which no
+/// predictor learns): the ready bit is OR-ed in shifted by the zero test,
+/// a processor with nothing queued holds an all-ones hint so the hint
+/// update is a min, and the owner is appended to the active list
+/// unconditionally while the list's length advances by the newly-active
+/// flag. kGated compiles the release-time / cross-message-delay gate into
+/// the same loop and is the only difference between the two
+/// instantiations: the gate needs the zero test as a branch anyway, so a
+/// gated run pushes only the tasks that pass it.
 template <bool kGated, typename Word>
 Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
                          std::size_t n_processors,
@@ -160,6 +186,8 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
   const std::size_t total = tg.n_tasks();
   const std::uint32_t* indeg = tg.indegrees().data();
   const std::uint32_t* cell = tg.cells().data();
+  const std::uint32_t* offsets = tg.offsets().data();
+  const Task32* targets = tg.targets().data();
   const std::int64_t* priority =
       options.priorities.empty() ? nullptr : options.priorities.data();
   const unsigned bits = layout.bits;
@@ -177,7 +205,11 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
                 util::Arena::lane_bytes<ProcessorId>(n_words) +
                 util::Arena::lane_bytes<Word>(n_processors) * 2 +
                 util::Arena::lane_bytes<std::uint32_t>(n_processors) +
-                util::Arena::lane_bytes<char>(n_processors));
+                util::Arena::lane_bytes<std::uint8_t>(n_processors) +
+                util::Arena::lane_bytes<ProcessorId>(n_processors + 1) * 2 +
+                util::Arena::lane_bytes<Task32>(n_processors) +
+                util::Arena::lane_bytes<Row>(n_processors) +
+                util::Arena::lane_bytes<ProcessorId>(n_processors));
 
   // Regions: processor p's slots start on the word after p - 1's and
   // shift[p] is the padding before them. next[p], p's load until here,
@@ -227,22 +259,33 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
 
   Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
   std::uint64_t* bitmap = arena.alloc_zero<std::uint64_t>(n_words);
-  // hint[p]: no live slot of processor p is below this (valid iff queued>0).
+  // hint[p]: no live slot of processor p is below this. It is all ones
+  // while p has nothing queued, so a push lowers it with a plain min.
   Word* hint = arena.alloc<Word>(n_processors);
+  std::fill_n(hint, n_processors, ~Word{0});
   std::uint32_t* queued = arena.alloc_zero<std::uint32_t>(n_processors);
-  char* active_flag = arena.alloc_zero<char>(n_processors);
-  std::vector<ProcessorId> active;
-  active.reserve(n_processors);
+  std::uint8_t* active_flag = arena.alloc_zero<std::uint8_t>(n_processors);
+  // The processors with queued tasks, and the pop loop's list of those that
+  // keep some; the spare entry takes the unconditional append.
+  ProcessorId* active = arena.alloc<ProcessorId>(n_processors + 1);
+  ProcessorId* still_active = arena.alloc<ProcessorId>(n_processors + 1);
+  std::size_t n_active = 0;
+  // Per-step buffers: the step's finished tasks, their successor rows and
+  // (gated) the processors they ran on.
+  Task32* finished = arena.alloc<Task32>(n_processors);
+  Row* rows = arena.alloc<Row>(n_processors);
+  ProcessorId* finished_on = arena.alloc<ProcessorId>(n_processors);
 
-  auto push_slot = [&](Word s) {
+  // Pushes slot s if ready is 1; if it is 0, rewrites the same words with
+  // the values they hold.
+  const auto push_slot = [&](Word s, Word ready) {
     const ProcessorId p = owner[s >> 6];
-    bitmap[s >> 6] |= 1ull << (s & 63);
-    if (queued[p] == 0 || s < hint[p]) hint[p] = s;
-    ++queued[p];
-    if (!active_flag[p]) {
-      active_flag[p] = 1;
-      active.push_back(p);
-    }
+    bitmap[s >> 6] |= std::uint64_t{ready} << (s & 63);
+    hint[p] = std::min(hint[p], s | (ready - 1));
+    queued[p] += static_cast<std::uint32_t>(ready);
+    active[n_active] = p;
+    n_active += ready & (active_flag[p] ^ 1u);
+    active_flag[p] = static_cast<std::uint8_t>(active_flag[p] | ready);
   };
 
   // Gated-only state: tasks whose predecessors are done but whose release
@@ -254,31 +297,27 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
   std::vector<TimeStep> earliest;
   if (kGated && options.cross_message_delay > 0) earliest.assign(total, 0);
 
-  auto enqueue_ready = [&](Task32 t, TimeStep now) {
-    if constexpr (kGated) {
-      TimeStep rel = release != nullptr ? release[t] : 0;
-      if (!earliest.empty()) rel = std::max(rel, earliest[t]);
-      if (rel > now) {
-        pending.push({rel, t});
-        return;
-      }
-    }
-    push_slot(packed[t] >> bits);
+  // Gated: the step from which task t may run once its predecessors are
+  // done — its release, or its last cross-processor message.
+  [[maybe_unused]] const auto due_time = [&](Task32 t) {
+    const TimeStep due = release != nullptr ? release[t] : 0;
+    return earliest.empty() ? due : std::max(due, earliest[t]);
   };
 
   for (std::size_t t = 0; t < total; ++t) {
-    if ((packed[t] & indegree_mask) == 0) {
-      enqueue_ready(static_cast<Task32>(t), 0);
+    if ((packed[t] & indegree_mask) != 0) continue;
+    if constexpr (kGated) {
+      if (const TimeStep due = due_time(static_cast<Task32>(t)); due > 0) {
+        pending.push({due, static_cast<Task32>(t)});
+        continue;
+      }
     }
+    push_slot(packed[t] >> bits, 1);
   }
   build_phase.done();
   obs::PhaseSpan run_phase("engine.slot.run");
 
   std::size_t done = 0;
-  std::vector<Task32> finished;
-  finished.reserve(n_processors);
-  std::vector<ProcessorId> still_active;
-  still_active.reserve(n_processors);
   std::uint64_t scan_words = 0;
   std::size_t peak_active = 0;
 
@@ -289,9 +328,9 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
       while (!pending.empty() && pending.top().first <= now) {
         const Task32 task = pending.top().second;
         pending.pop();
-        push_slot(packed[task] >> bits);
+        push_slot(packed[task] >> bits, 1);
       }
-      if (active.empty()) {
+      if (n_active == 0) {
         if (pending.empty()) {
           throw std::logic_error(
               "list_schedule: deadlock — instance DAG has a cycle");
@@ -300,17 +339,19 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
         continue;
       }
     } else {
-      if (active.empty()) {
+      if (n_active == 0) {
         throw std::logic_error(
             "list_schedule: deadlock — instance DAG has a cycle");
       }
     }
 
-    // Each active processor runs its lowest live slot this step.
-    finished.clear();
-    still_active.clear();
-    peak_active = std::max(peak_active, active.size());
-    for (ProcessorId p : active) {
+    // Pass 1: each active processor runs its lowest live slot this step;
+    // the task's offsets entry is fetched for pass 2.
+    const std::size_t n_finished = n_active;
+    std::size_t n_still = 0;
+    peak_active = std::max(peak_active, n_active);
+    for (std::size_t a = 0; a < n_finished; ++a) {
+      const ProcessorId p = active[a];
       std::size_t w = hint[p] >> 6;
       std::uint64_t word = bitmap[w] & (~0ull << (hint[p] & 63));
       while (word == 0) {
@@ -319,37 +360,71 @@ Schedule run_slot_engine(const dag::TaskGraph& tg, const Assignment& assignment,
       }
       const auto s = static_cast<Word>((w << 6) + std::countr_zero(word));
       bitmap[w] &= ~(1ull << (s & 63));
-      hint[p] = s;
       const Task32 task = task_at[s - shift[p]];
-      --queued[p];
+      __builtin_prefetch(offsets + task);
       schedule.set_start(task, now);
-      finished.push_back(task);
-      if (queued[p] == 0) {
-        active_flag[p] = 0;
-      } else {
-        still_active.push_back(p);
+      finished[a] = task;
+      if constexpr (kGated) finished_on[a] = p;
+      const Word more = --queued[p] != 0;
+      hint[p] = s | (more - 1);
+      still_active[n_still] = p;
+      n_still += more;
+      active_flag[p] = static_cast<std::uint8_t>(more);
+    }
+    std::swap(active, still_active);
+    n_active = n_still;
+    done += n_finished;
+
+    // Pass 2: the finished tasks' successor rows; each row is fetched for
+    // pass 3.
+    std::size_t n_edges = 0;
+    for (std::size_t i = 0; i < n_finished; ++i) {
+      const Row row{offsets[finished[i]], offsets[finished[i] + 1]};
+      __builtin_prefetch(targets + row.begin);
+      rows[i] = row;
+      n_edges += row.end - row.begin;
+    }
+
+    // Pass 3: gather the step's successors; each one's packed word is
+    // fetched for pass 4.
+    if (scratch.step_succ.size() < n_edges) scratch.step_succ.resize(n_edges);
+    if constexpr (kGated) {
+      if (scratch.step_from.size() < n_edges) scratch.step_from.resize(n_edges);
+    }
+    Task32* succ_at = scratch.step_succ.data();
+    [[maybe_unused]] ProcessorId* from = scratch.step_from.data();
+    std::size_t e = 0;
+    for (std::size_t i = 0; i < n_finished; ++i) {
+      for (std::uint32_t j = rows[i].begin; j < rows[i].end; ++j, ++e) {
+        const Task32 succ = targets[j];
+        __builtin_prefetch(packed + succ, 1);
+        succ_at[e] = succ;
+        if constexpr (kGated) from[e] = finished_on[i];
       }
     }
-    active.swap(still_active);
-    done += finished.size();
 
-    // Newly ready successors become available from now+1 (or their release;
-    // or now+1+c if the message must cross processors).
-    for (Task32 task : finished) {
-      [[maybe_unused]] const ProcessorId task_proc =
-          owner[(packed[task] >> bits) >> 6];
-      for (Task32 succ : tg.successors(task)) {
-        if constexpr (kGated) {
-          if (!earliest.empty() &&
-              owner[(packed[succ] >> bits) >> 6] != task_proc) {
-            earliest[succ] = std::max(earliest[succ],
-                                      now + 1 + options.cross_message_delay);
-          }
+    // Pass 4: decrement. Newly ready successors become available from
+    // now+1 (or their release; or now+1+c if the message must cross
+    // processors).
+    for (e = 0; e < n_edges; ++e) {
+      const Task32 succ = succ_at[e];
+      const Word left = --packed[succ];
+      const Word s = left >> bits;
+      const Word ready = (left & indegree_mask) == 0;
+      if constexpr (kGated) {
+        if (!earliest.empty() && owner[s >> 6] != from[e]) {
+          earliest[succ] = std::max(earliest[succ],
+                                    now + 1 + options.cross_message_delay);
         }
-        if ((--packed[succ] & indegree_mask) == 0) {
-          enqueue_ready(succ, now + 1);
+        // The gate needs the zero test's branch anyway, so a gated run
+        // pushes only the tasks that pass it.
+        if (ready == 0) continue;
+        if (const TimeStep due = due_time(succ); due > now + 1) {
+          pending.push({due, succ});
+          continue;
         }
       }
+      push_slot(s, ready);
     }
     ++now;
   }

@@ -200,7 +200,8 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
   // Oracle 3: engine identity — the production engine, with its slots
   // ordered by the (processor, priority) histogram and by a comparison sort,
   // against the preserved reference implementation, including release times
-  // and cross-message delays.
+  // and cross-message delays — and work conservation under those gates: no
+  // processor idles while one of its tasks is released and delay-cleared.
   check("engine_identity", [&] {
     const auto priorities = core::level_priorities(*instance);
     std::vector<TimeStep> releases;
@@ -235,6 +236,13 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     if (by_comparison.starts() != reference.starts()) {
       fail("engine_identity",
            "comparison-sorted slots diverge from reference");
+    }
+    const std::size_t idle =
+        core::analyze_schedule(*instance, by_histogram, releases, s.delay)
+            .avoidable_idle_slots;
+    if (idle != 0) {
+      fail("engine_identity",
+           std::to_string(idle) + " avoidable idle slots under the gates");
     }
   });
 

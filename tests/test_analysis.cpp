@@ -5,6 +5,7 @@
 #include "core/algorithms.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/assignment.hpp"
+#include "core/priorities.hpp"
 #include "core/random_delay.hpp"
 #include "sweep/random_dag.hpp"
 #include "test_helpers.hpp"
@@ -25,6 +26,61 @@ TEST(Analysis, ListSchedulesHaveNoAvoidableIdle) {
     EXPECT_EQ(analysis.makespan, schedule.makespan());
     EXPECT_EQ(analysis.total_idle_slots, schedule.idle_slots());
   }
+}
+
+TEST(Analysis, CrossMessageDelayIsNotAvoidableIdle) {
+  // Cell 0 feeds cell 1 on another processor; with c = 3 the engine holds
+  // cell 1 back until step 0 + 1 + 3. Counted from precedence alone, those
+  // three idle steps look avoidable; counted under the gate, they are not.
+  std::vector<dag::SweepDag> dags;
+  dags.push_back(test::make_dag(2, {{0, 1}}));
+  const dag::SweepInstance inst(2, std::move(dags), "pair");
+  ListScheduleOptions options;
+  options.cross_message_delay = 3;
+  const Schedule s = list_schedule(inst, Assignment{0, 1}, 2, options);
+  ASSERT_EQ(s.start(1), 4u);
+  EXPECT_EQ(analyze_schedule(inst, s).avoidable_idle_slots, 3u);
+  EXPECT_EQ(analyze_schedule(inst, s, {}, 3).avoidable_idle_slots, 0u);
+  // The same cells on one processor need no message, so no wait.
+  const Schedule local = list_schedule(inst, Assignment{0, 0}, 2, options);
+  EXPECT_EQ(local.start(1), 1u);
+  EXPECT_EQ(analyze_schedule(inst, local, {}, 3).avoidable_idle_slots, 0u);
+}
+
+TEST(Analysis, GatedListSchedulesHaveNoAvoidableIdleUnderTheirGates) {
+  // Release times and cross-message delay: the engine idles only while
+  // every one of a processor's tasks is gated, so the gate-aware count is
+  // zero, while the precedence-only count is not.
+  std::size_t precedence_only = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto inst = dag::random_instance(80, 4, 8, 2.0, seed);
+    util::Rng rng(seed * 13);
+    const std::size_t m = 3 + seed;
+    const auto assignment = random_assignment(inst.n_cells(), m, rng);
+    const auto priorities = level_priorities(inst);
+    const auto releases =
+        delay_release_times(inst, random_delays(inst.n_directions(), rng));
+    for (const TimeStep c : {TimeStep{0}, TimeStep{1}, TimeStep{3}}) {
+      ListScheduleOptions options;
+      options.priorities = priorities;
+      options.release_times = releases;
+      options.cross_message_delay = c;
+      const Schedule s = list_schedule(inst, assignment, m, options);
+      EXPECT_EQ(analyze_schedule(inst, s, releases, c).avoidable_idle_slots,
+                0u)
+          << "seed " << seed << " c " << c;
+      precedence_only += analyze_schedule(inst, s).avoidable_idle_slots;
+    }
+  }
+  EXPECT_GT(precedence_only, 0u);
+}
+
+TEST(Analysis, RejectsReleaseTimesOfTheWrongSize) {
+  const auto inst = dag::random_instance(5, 1, 2, 1.0, 10);
+  const Schedule s = list_schedule(inst, Assignment(5, 0), 1);
+  const std::vector<TimeStep> short_releases(4, 0);
+  EXPECT_THROW(analyze_schedule(inst, s, short_releases),
+               std::invalid_argument);
 }
 
 TEST(Analysis, LayerSynchronousAlgorithmHasAvoidableIdle) {

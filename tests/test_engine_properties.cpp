@@ -9,6 +9,7 @@
 #include "core/assignment.hpp"
 #include "core/comm_cost.hpp"
 #include "core/comm_rounds.hpp"
+#include "core/priorities.hpp"
 #include "core/random_delay.hpp"
 #include "core/validate.hpp"
 #include "sweep/random_dag.hpp"
@@ -39,13 +40,22 @@ TEST_P(PropertySweep, UniversalScheduleInvariants) {
     const auto valid = validate_schedule(inst, schedule);
     ASSERT_TRUE(valid) << algorithm_name(algorithm) << ": " << valid.error;
 
-    const auto analysis = analyze_schedule(inst, schedule);
-    // 1. Work conservation (releases only delay Descendant-delays; even then
-    //    avoidable idle measured against ready times must account for it —
-    //    skip the check for delay variants).
-    if (algorithm != Algorithm::kDescendantDelays) {
-      EXPECT_EQ(analysis.avoidable_idle_slots, 0u) << algorithm_name(algorithm);
+    // 1. Work conservation: no processor idles while one of its tasks is
+    //    ready. Descendant-delays gates tasks on release times, which
+    //    replaying run_algorithm's draws on the same seed recovers: the
+    //    assignment, the descendant priorities, then the delays.
+    std::vector<TimeStep> releases;
+    if (algorithm == Algorithm::kDescendantDelays) {
+      util::Rng replay(99);
+      const Assignment assignment =
+          random_assignment(inst.n_cells(), p.m, replay);
+      ASSERT_EQ(assignment, schedule.assignment());
+      (void)descendant_priorities(inst, replay);
+      releases = delay_release_times(
+          inst, random_delays(inst.n_directions(), replay));
     }
+    const auto analysis = analyze_schedule(inst, schedule, releases);
+    EXPECT_EQ(analysis.avoidable_idle_slots, 0u) << algorithm_name(algorithm);
     // 2. Makespan bounded below by every component of the lower bound and
     //    by the busiest processor's load.
     const auto lb = compute_lower_bounds(inst, p.m);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <string>
 
 #include "core/assignment.hpp"
 #include "core/priorities.hpp"
@@ -36,6 +37,16 @@ dag::SweepInstance star_instance(std::size_t n) {
   std::vector<dag::SweepDag> dags;
   dags.push_back(test::make_dag(n, std::move(edges)));
   return dag::SweepInstance(n, std::move(dags), "star");
+}
+
+/// The mirror of star_instance: one direction over n cells in which cell 0
+/// feeds every other cell, so the root's step resolves n - 1 edges at once.
+dag::SweepInstance fan_out_instance(std::size_t n) {
+  std::vector<std::pair<dag::NodeId, dag::NodeId>> edges;
+  for (dag::NodeId v = 1; v < n; ++v) edges.emplace_back(0, v);
+  std::vector<dag::SweepDag> dags;
+  dags.push_back(test::make_dag(n, std::move(edges)));
+  return dag::SweepInstance(n, std::move(dags), "fan-out");
 }
 
 TEST(ListScheduler, ProducesValidSchedule) {
@@ -381,6 +392,34 @@ TEST(EngineIdentity, StarIndegreePast16BitsUses64BitWords) {
   expect_identical_engines(inst, assignment, 5, options, "star, level");
 }
 
+TEST(EngineIdentity, FanOutStarResolvesOneStep) {
+  // The root's step gathers 69,999 edges into the per-step successor
+  // buffer, and at m = 4096 it makes every processor active at once, so the
+  // unconditional active-list append runs with the list full.
+  const auto inst = fan_out_instance(70000);
+  ASSERT_EQ(inst.task_graph().out_degree(0), 69999u);
+  const auto level = level_priorities(inst);
+  std::vector<TimeStep> release(inst.n_tasks());
+  for (std::size_t t = 0; t < release.size(); ++t) {
+    release[t] = static_cast<TimeStep>((t * 7) % 11);
+  }
+  for (const std::size_t m : {std::size_t{5}, std::size_t{4096}}) {
+    util::Rng rng(12);
+    const Assignment assignment = random_assignment(inst.n_cells(), m, rng);
+    const std::string at = " at m=" + std::to_string(m);
+    expect_identical_engines(inst, assignment, m, {},
+                             ("fan-out" + at).c_str());
+    ListScheduleOptions options;
+    options.priorities = level;
+    expect_identical_engines(inst, assignment, m, options,
+                             ("fan-out, level" + at).c_str());
+    options.release_times = release;
+    options.cross_message_delay = 2;
+    expect_identical_engines(inst, assignment, m, options,
+                             ("fan-out, release + cross delay" + at).c_str());
+  }
+}
+
 TEST(EngineIdentity, EveryCellOnProcessor0OfAMillion) {
   // m = 2^20 with every cell on processor 0: ~1,200 tasks would pad a
   // power-of-two region to 2^11 slots per processor (2^31 slots); with
@@ -421,6 +460,37 @@ TEST(ListScheduler, EveryCallRunsTheSlotEngine) {
   list_schedule(star, star_assignment, 3);
   obs::set_metrics_enabled(false);
   EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 4u);
+}
+
+TEST(ListScheduler, EngineCountersCountRunsPopsAndSteps) {
+  // One run per call, one pop per task and one step per timestep up to the
+  // makespan, ungated and gated. The release gap leaves steps in which no
+  // processor has a ready task; the gated loop jumps over them, and they
+  // still count as steps.
+  const auto inst = dag::random_instance(60, 3, 6, 1.5, 37);
+  util::Rng rng(4);
+  const Assignment assignment = random_assignment(inst.n_cells(), 5, rng);
+  const auto level = level_priorities(inst);
+  std::vector<TimeStep> release(inst.n_tasks(), 0);
+  for (std::size_t t = 2 * inst.n_cells(); t < inst.n_tasks(); ++t) {
+    release[t] = 1000;
+  }
+  ListScheduleOptions ungated;
+  ungated.priorities = level;
+  ListScheduleOptions gated = ungated;
+  gated.release_times = release;
+  for (const ListScheduleOptions& options : {ungated, gated}) {
+    obs::MetricsRegistry::instance().reset();
+    obs::set_metrics_enabled(true);
+    const Schedule s = list_schedule(inst, assignment, 5, options);
+    obs::set_metrics_enabled(false);
+    EXPECT_EQ(test::counter_value_of("engine.slot.runs"), 1u);
+    EXPECT_EQ(test::counter_value_of("engine.pops"), inst.n_tasks());
+    EXPECT_EQ(test::counter_value_of("engine.steps"), s.makespan());
+  }
+  // The gap is real: the gated makespan passes the release.
+  const Schedule gated_schedule = list_schedule(inst, assignment, 5, gated);
+  EXPECT_GT(gated_schedule.makespan(), 1000u);
 }
 #endif  // SWEEP_OBS_DISABLE
 
