@@ -3,6 +3,10 @@
 // plus tracing armed, and reports the relative slowdown. The acceptance bar
 // is < 2% with everything enabled; a disarmed run should be indistinguishable
 // from the un-instrumented baseline (each macro site is one relaxed load).
+// Each rep times kCallsPerRep short calls per mode, one per assignment, in
+// the serve section's rotating per-call order, because 30-60 interleaved
+// calls of 7 ms each read from -0.9% to +2.0% across invocations on a
+// shared 4-core host, too wide for a 1% bar.
 //
 // A second section runs the serve-path request loop (ServeService::handle
 // with the schedule cache off, so every query computes, answering
@@ -16,7 +20,7 @@
 // a spread wider than the bar, so each section measures kRuns times and
 // prints every run's armed overheads and their median, which is what the
 // bars apply to:
-//   obs_overhead [--n 20000] [--k 8] [--m 32] [--reps 30]
+//   obs_overhead [--n 1000] [--k 8] [--m 32] [--reps 30]
 
 #include <unistd.h>
 
@@ -54,6 +58,10 @@ void arm(Mode mode) {
 
 /// Measurements per section; the bars read their median.
 constexpr std::size_t kRuns = 5;
+
+/// Engine-section list_schedule calls per rep and mode, each on its own
+/// assignment.
+constexpr std::size_t kCallsPerRep = 60;
 
 /// Mode orders, rotated from one timed call to the next, so that no mode
 /// always runs first or last.
@@ -100,10 +108,12 @@ static int run_main(int argc, char** argv) {
   util::CliParser cli("obs_overhead",
                       "Instrumentation overhead: list_schedule with "
                       "observability off / metrics / metrics+trace");
-  cli.add_option("n", "20000", "cells in the synthetic instance");
+  cli.add_option("n", "1000", "cells in the synthetic instance");
   cli.add_option("k", "8", "directions");
   cli.add_option("m", "32", "processors");
-  cli.add_option("reps", "30", "repetitions per mode (median reported)");
+  cli.add_option("reps", "30",
+                 "repetitions per run; each times every engine call and "
+                 "serve query once per mode (medians reported)");
   cli.add_option("seed", "2024", "RNG seed");
   cli.add_option("serve-n", "2000", "cells in the serve-path artifact");
   cli.add_option("serve-reqs", "60", "queries per serve-path rep");
@@ -117,41 +127,55 @@ static int run_main(int argc, char** argv) {
 
   const auto instance = dag::random_instance(n, k, 9, 2.0, seed);
   util::Rng rng(seed);
-  const auto assignment = core::random_assignment(n, m, rng);
+  std::vector<core::Assignment> assignments;
+  for (std::size_t i = 0; i < kCallsPerRep; ++i) {
+    assignments.push_back(core::random_assignment(n, m, rng));
+  }
   (void)instance.task_graph();  // warm the lazy CSR outside the timing
 
-  // Interleave the three modes within every rep, in rotating order, so
-  // machine-load drift and frequency scaling hit all modes equally; report
-  // per-mode medians. Medians are robust against scheduler hiccups.
+  // Per-call interleaving, as in the serve section below: every assignment
+  // is scheduled three times back to back, once per mode, with the mode
+  // ORDER rotating from call to call, so machine-load drift and frequency
+  // scaling hit all modes equally; medians over reps * kCallsPerRep samples
+  // per mode are robust against scheduler hiccups.
   std::size_t checksum_off = 0, checksum_metrics = 0, checksum_full = 0;
   arm(Mode::kOff);
   // Warm-up: touch code and data once before any timed rep.
-  (void)core::list_schedule(instance, assignment, m);
+  (void)core::list_schedule(instance, assignments[0], m);
   std::vector<Medians> engine_runs;
   for (std::size_t run = 0; run < kRuns; ++run) {
     std::vector<double> times_off, times_metrics, times_full;
+    times_off.reserve(reps * kCallsPerRep);
+    times_metrics.reserve(reps * kCallsPerRep);
+    times_full.reserve(reps * kCallsPerRep);
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (const Mode mode : kOrders[rep % 3]) {
-        arm(mode);
-        util::Timer timer;
-        const auto schedule = core::list_schedule(instance, assignment, m);
-        const double t = timer.seconds();
-        const std::size_t makespan = schedule.makespan();
-        switch (mode) {
-          case Mode::kOff:
-            times_off.push_back(t);
-            checksum_off += makespan;
-            break;
-          case Mode::kMetrics:
-            times_metrics.push_back(t);
-            checksum_metrics += makespan;
-            break;
-          case Mode::kFull:
-            times_full.push_back(t);
-            checksum_full += makespan;
-            break;
+      for (std::size_t i = 0; i < kCallsPerRep; ++i) {
+        for (const Mode mode : kOrders[(rep * kCallsPerRep + i) % 3]) {
+          arm(mode);
+          util::Timer timer;
+          const auto schedule =
+              core::list_schedule(instance, assignments[i], m);
+          const double t = timer.seconds();
+          const std::size_t makespan = schedule.makespan();
+          switch (mode) {
+            case Mode::kOff:
+              times_off.push_back(t);
+              checksum_off += makespan;
+              break;
+            case Mode::kMetrics:
+              times_metrics.push_back(t);
+              checksum_metrics += makespan;
+              break;
+            case Mode::kFull:
+              times_full.push_back(t);
+              checksum_full += makespan;
+              break;
+          }
         }
       }
+      // As in the serve section: drop the rep's full-mode spans, which are
+      // not what this bench measures and would grow for the whole section.
+      obs::clear_trace();
     }
     engine_runs.push_back(
         {median(times_off), median(times_metrics), median(times_full)});
@@ -169,8 +193,10 @@ static int run_main(int argc, char** argv) {
 #if defined(SWEEP_OBS_DISABLE)
   std::printf("built with SWEEP_OBS=OFF: macros are compiled out\n");
 #endif
-  std::printf("list_schedule on %zu cells x %zu dirs, m=%zu, %zu runs of %zu "
-              "reps (per-mode medians):\n", n, k, m, kRuns, reps);
+  std::printf("list_schedule on %zu cells x %zu dirs, m=%zu: per-call "
+              "medians over %zu calls per mode, %zu runs of %zu reps x %zu "
+              "assignments (rotating order):\n",
+              n, k, m, reps * kCallsPerRep, kRuns, reps, kCallsPerRep);
   print_runs(engine_runs, 1e3, "ms");
   std::printf("identical schedules in all three modes (checksum %zu)\n",
               checksum_off);

@@ -44,11 +44,24 @@ Algorithm algorithm_from_name(const std::string& name) {
 
 Schedule run_algorithm(Algorithm algorithm, const dag::SweepInstance& instance,
                        std::size_t n_processors, util::Rng& rng,
-                       Assignment assignment) {
+                       Assignment assignment,
+                       std::vector<TimeStep>* release_times) {
   const std::size_t n = instance.n_cells();
   if (assignment.empty()) {
     assignment = random_assignment(n, n_processors, rng);
   }
+  if (release_times != nullptr) release_times->clear();
+  // The delay variants' schedule, with their releases handed out after it.
+  const auto gated = [&](std::span<const std::int64_t> priorities,
+                         std::vector<TimeStep> releases) {
+    ListScheduleOptions options;
+    options.priorities = priorities;
+    options.release_times = releases;
+    Schedule schedule =
+        list_schedule(instance, assignment, n_processors, options);
+    if (release_times != nullptr) *release_times = std::move(releases);
+    return schedule;
+  };
 
   switch (algorithm) {
     case Algorithm::kRandomDelay:
@@ -87,11 +100,7 @@ Schedule run_algorithm(Algorithm algorithm, const dag::SweepInstance& instance,
     case Algorithm::kDescendantDelays: {
       const auto priorities = descendant_priorities(instance, rng);
       const auto delays = random_delays(instance.n_directions(), rng);
-      const auto releases = delay_release_times(instance, delays);
-      ListScheduleOptions options;
-      options.priorities = priorities;
-      options.release_times = releases;
-      return list_schedule(instance, assignment, n_processors, options);
+      return gated(priorities, delay_release_times(instance, delays));
     }
     case Algorithm::kDfdsPriorities: {
       const auto priorities = dfds_priorities(instance, assignment);
@@ -102,11 +111,7 @@ Schedule run_algorithm(Algorithm algorithm, const dag::SweepInstance& instance,
     case Algorithm::kDfdsDelays: {
       const auto priorities = dfds_priorities(instance, assignment);
       const auto delays = random_delays(instance.n_directions(), rng);
-      const auto releases = delay_release_times(instance, delays);
-      ListScheduleOptions options;
-      options.priorities = priorities;
-      options.release_times = releases;
-      return list_schedule(instance, assignment, n_processors, options);
+      return gated(priorities, delay_release_times(instance, delays));
     }
   }
   throw std::logic_error("run_algorithm: unhandled algorithm");

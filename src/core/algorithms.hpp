@@ -38,9 +38,13 @@ Algorithm algorithm_from_name(const std::string& name);
 /// Runs `algorithm` on `instance` with `n_processors`. If `assignment` is
 /// empty a fresh uniform random per-cell assignment is drawn (the provable
 /// setting); pass a block assignment for the Section 5 block experiments.
+/// If `release_times` is non-null it receives the per-task release times the
+/// list schedule ran under: the drawn delay releases of descendant-delays
+/// and DFDS-delays, empty for every other algorithm.
 Schedule run_algorithm(Algorithm algorithm, const dag::SweepInstance& instance,
                        std::size_t n_processors, util::Rng& rng,
-                       Assignment assignment = {});
+                       Assignment assignment = {},
+                       std::vector<TimeStep>* release_times = nullptr);
 
 /// makespan / lower-bound ratio, the paper's plotted quantity.
 double approximation_ratio(const Schedule& schedule,

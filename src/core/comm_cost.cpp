@@ -76,6 +76,7 @@ std::optional<C2Cost> dense_c2(const dag::TaskGraph& tg,
   std::vector<std::uint32_t> step_max(horizon, 0);
   std::vector<std::uint64_t> occupied((horizon * m + 63) / 64, 0);
   std::uint64_t shared = 0;
+  std::size_t cross_edges = 0;
   for (std::size_t i = 0; i < k; ++i) {
     // Direction i's tasks are [i * n, (i + 1) * n) and their successors stay
     // in-direction (a TaskGraph invariant that artifacts check on load), so
@@ -93,10 +94,12 @@ std::optional<C2Cost> dense_c2(const dag::TaskGraph& tg,
       shared |= occupied[slot / 64] & bit;
       occupied[slot / 64] |= bit;
       step_max[tu] = std::max(step_max[tu], messages);
+      cross_edges += messages;
     }
   }
   if (shared != 0) return std::nullopt;
   C2Cost cost;
+  cost.cross_edges = cross_edges;
   for (const std::uint32_t mx : step_max) {
     cost.total_delay += mx;
     cost.max_step_degree = std::max<std::size_t>(cost.max_step_degree, mx);
@@ -131,6 +134,7 @@ C2Cost sorted_c2(const dag::TaskGraph& tg, const Schedule& schedule,
   };
   std::vector<SendRecord> sends;
   sends.reserve(256);
+  C2Cost cost;
   for (std::size_t t = 0; t < tg.n_tasks(); ++t) {
     const ProcessorId pu = schedule.processor_of_cell(cell[t]);
     const TimeStep tu = checked_start(schedule.start(t), horizon);
@@ -138,6 +142,7 @@ C2Cost sorted_c2(const dag::TaskGraph& tg, const Schedule& schedule,
     for (dag::TaskGraph::Task succ : tg.successors(t)) {
       if (schedule.processor_of_cell(cell[succ]) != pu) ++messages;
     }
+    cost.cross_edges += messages;
     if (messages > 0) {
       sends.push_back({static_cast<std::uint64_t>(tu) * m + pu, messages});
     }
@@ -149,7 +154,6 @@ C2Cost sorted_c2(const dag::TaskGraph& tg, const Schedule& schedule,
 
   // Grouped reduction: per (step, sender) sum the messages, per step take
   // the max over senders, then fold the step maxima into the cost.
-  C2Cost cost;
   std::size_t i = 0;
   while (i < sends.size()) {
     const std::uint64_t step = sends[i].key / m;
@@ -255,6 +259,7 @@ C2Cost comm_cost_c2_reference(const dag::TaskGraph& tg,
   // keyed by (step, sender) in a flat hash map instead, then reduce.
   std::unordered_map<std::uint64_t, std::uint32_t> sends;
   sends.reserve(tg.n_tasks() / 4 + 16);
+  C2Cost cost;
   for (std::size_t t = 0; t < tg.n_tasks(); ++t) {
     const ProcessorId pu = schedule.processor_of_cell(cell[t]);
     const TimeStep tu = schedule.start(t);
@@ -269,6 +274,7 @@ C2Cost comm_cost_c2_reference(const dag::TaskGraph& tg,
     for (dag::TaskGraph::Task succ : tg.successors(t)) {
       if (schedule.processor_of_cell(cell[succ]) != pu) ++messages;
     }
+    cost.cross_edges += messages;
     if (messages > 0) {
       const std::uint64_t key =
           static_cast<std::uint64_t>(tu) * schedule.n_processors() + pu;
@@ -282,7 +288,6 @@ C2Cost comm_cost_c2_reference(const dag::TaskGraph& tg,
     const auto step = static_cast<std::size_t>(key / schedule.n_processors());
     step_max[step] = std::max(step_max[step], count);
   }
-  C2Cost cost;
   for (std::uint32_t mx : step_max) {
     cost.total_delay += mx;
     cost.max_step_degree = std::max<std::size_t>(cost.max_step_degree, mx);

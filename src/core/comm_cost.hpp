@@ -61,10 +61,14 @@ struct C2Cost {
   std::size_t total_delay = 0;       ///< sum over steps of max per-proc sends
   std::size_t max_step_degree = 0;   ///< worst single round
   std::size_t busy_steps = 0;        ///< steps with at least one message
+  std::size_t cross_edges = 0;       ///< all messages: C1's cross-edge count
 };
 
 /// C2 requires the schedule (who finishes what when). A message is one cross-
 /// processor DAG edge, charged to the sender at the step its source finishes.
+/// The pass counts every message, so `cross_edges` equals
+/// comm_cost_c1(graph, schedule.assignment()).cross_edges; a caller holding
+/// the schedule gets C1 without a second walk over the edges.
 /// Throws std::invalid_argument if an assignment entry is >= n_processors,
 /// or if makespan * n_processors overflows the packed 64-bit (step, sender)
 /// key space (a schedule that large is malformed, not merely expensive).

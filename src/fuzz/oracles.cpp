@@ -42,22 +42,21 @@ std::string describe(const Scenario& s) {
   return out.str();
 }
 
-/// True for the algorithms that list-schedule without release times, whose
-/// schedules must leave no avoidable idle slot (Algorithm 2's no-idle
-/// property; the delay variants gate tasks on release times, and
-/// Algorithms 1 and 3 are layer-synchronous).
+/// True for the algorithms that list-schedule, whose schedules must leave
+/// no avoidable idle slot under their own release times (Algorithm 2's
+/// no-idle property); Algorithms 1 and 3 are layer-synchronous.
 bool is_work_conserving(core::Algorithm algorithm) {
   switch (algorithm) {
     case core::Algorithm::kRandomDelayPriorities:
     case core::Algorithm::kLevelPriorities:
     case core::Algorithm::kDescendantPriorities:
+    case core::Algorithm::kDescendantDelays:
     case core::Algorithm::kDfdsPriorities:
+    case core::Algorithm::kDfdsDelays:
     case core::Algorithm::kBLevelPriorities:
       return true;
     case core::Algorithm::kRandomDelay:
     case core::Algorithm::kImprovedRandomDelay:
-    case core::Algorithm::kDescendantDelays:
-    case core::Algorithm::kDfdsDelays:
       return false;
   }
   return false;
@@ -163,13 +162,14 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
 
   // Oracle 1: feasibility + completeness of the scheduled algorithm, and
   // work conservation (Algorithm 2's no-idle property) for every list
-  // schedule without release times: no processor idles while one of its
-  // tasks is ready.
+  // schedule under the release times run_algorithm drew for it: no
+  // processor idles while one of its tasks is released and ready.
   std::optional<Schedule> schedule;
   check("validate", [&] {
     util::Rng rng(s.seed);
+    std::vector<TimeStep> releases;
     schedule.emplace(core::run_algorithm(algorithm, *instance, m, rng,
-                                         assignment));
+                                         assignment, &releases));
     const auto valid = core::validate_schedule(*instance, *schedule);
     if (!valid) fail("validate", "infeasible schedule: " + valid.error);
     if (!schedule->complete()) {
@@ -178,7 +178,8 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     }
     if (is_work_conserving(algorithm)) {
       const std::size_t idle =
-          core::analyze_schedule(*instance, *schedule).avoidable_idle_slots;
+          core::analyze_schedule(*instance, *schedule, releases)
+              .avoidable_idle_slots;
       if (idle != 0) {
         fail("validate", std::to_string(idle) +
                              " avoidable idle slots in a list schedule");
@@ -309,7 +310,8 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
 
   // Oracle 7: persistence round trip, with C1/C2 recomputed on the reloaded
   // schedule, and C2 checked against its preserved reference (fuzz
-  // horizons are small enough for the reference's dense per-step array).
+  // horizons are small enough for the reference's dense per-step array);
+  // both C2 passes must also count C1's cross edges.
   check("roundtrip", [&] {
     std::stringstream buffer;
     core::save_schedule(*schedule, buffer);
@@ -343,6 +345,13 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
         c2a.max_step_degree != c2r.max_step_degree ||
         c2a.busy_steps != c2r.busy_steps) {
       fail("roundtrip", "C2 diverges from comm_cost_c2_reference");
+    }
+    const std::size_t c1r =
+        core::comm_cost_c1_reference(*instance, schedule->assignment())
+            .cross_edges;
+    if (c2a.cross_edges != c1r || c2r.cross_edges != c1r) {
+      fail("roundtrip", "C2's message count disagrees with "
+                        "comm_cost_c1_reference");
     }
   });
 

@@ -10,9 +10,10 @@ namespace sweep::serve {
 namespace {
 
 /// Approximate residency cost of one entry: the payload struct, the start
-/// array's heap block, both map nodes (LRU + hash bucket), and the key
-/// copies. Deliberately rounded up — the byte bound is a memory budget,
-/// not an accounting exercise.
+/// array's heap block (none for a scalar entry, which comes to about 260
+/// bytes), both map nodes (LRU + hash bucket), and the key copies.
+/// Deliberately rounded up — the byte bound is a memory budget, not an
+/// accounting exercise.
 std::uint64_t approx_entry_bytes(const QueryResponse& payload) {
   return sizeof(QueryResponse) +
          payload.starts.capacity() * sizeof(std::uint32_t) +
@@ -41,6 +42,7 @@ std::size_t CacheKeyHash::operator()(const CacheKey& k) const noexcept {
   fold((static_cast<std::uint64_t>(k.scheme) << 32) | k.m);
   fold(static_cast<std::uint64_t>(k.partition));
   fold(k.seed);
+  fold(k.want_starts ? 1 : 0);
   return static_cast<std::size_t>(h);
 }
 

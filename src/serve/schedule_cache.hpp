@@ -10,15 +10,17 @@
 //  - The key space is sharded by hash across independent shards, each with
 //    its own mutex, LRU list, and hash map, so concurrent probes on
 //    different keys never contend on one lock.
-//  - Values are immutable shared_ptr<const QueryResponse> payloads with the
-//    start array ALWAYS populated, so a want_starts probe hits the same
-//    entry as a scalar one; the response assembler copies starts only when
-//    asked. A hit is byte-identical to the cold path by construction: both
-//    paths assemble the wire response from the same payload fields.
+//  - Values are immutable shared_ptr<const QueryResponse> payloads holding
+//    what their query asked for: the start array only when the key's
+//    want_starts is set, so a scalar query's entry is its scalars (about
+//    260 bytes) and a want_starts query fills a separate entry of its own.
+//    A hit is byte-identical to the cold path by construction: both paths
+//    assemble the wire response from the same payload fields.
 //  - Memory is bounded per shard (total bounds divided across shards):
 //    entries over the count bound or bytes over the byte bound evict from
 //    the shard's LRU tail. A payload bigger than one shard's byte budget is
-//    never admitted, so total residency never exceeds max_bytes.
+//    never admitted, so total residency never exceeds max_bytes. Only start
+//    arrays weigh enough for the byte bound to bind before the entry bound.
 //  - Single flight: the first prober of an absent key becomes the leader
 //    (kMiss + Ticket) and MUST resolve the ticket with fill() or fail();
 //    concurrent probers of the same key park on a shared_future and wake
@@ -61,13 +63,15 @@ namespace sweep::serve {
 
 /// Identity of one cacheable query against one artifact snapshot. `m` is
 /// normalized to 0 when `partition >= 0` (the computation ignores it), so
-/// (m=7, partition=2) and (m=9, partition=2) share an entry.
+/// (m=7, partition=2) and (m=9, partition=2) share an entry. `want_starts`
+/// is part of the identity because it decides what the entry holds.
 struct CacheKey {
   std::uint64_t content_hash = 0;  ///< artifact snapshot the query ran on
   std::uint32_t scheme = 0;        ///< wire value of serve::Scheme
   std::uint32_t m = 0;             ///< processors; 0 when partition >= 0
   std::int64_t partition = -1;     ///< embedded partition index or -1
   std::uint64_t seed = 0;
+  bool want_starts = false;        ///< the entry holds the start array
 
   bool operator==(const CacheKey&) const = default;
 };
@@ -111,7 +115,8 @@ struct ScheduleCacheStats {
 
 class ScheduleCache {
  public:
-  /// Immutable cached payload; `starts` is always populated.
+  /// Immutable cached payload; `starts` is populated iff the key's
+  /// want_starts is set.
   using Value = std::shared_ptr<const QueryResponse>;
 
   explicit ScheduleCache(ScheduleCacheOptions options);

@@ -172,6 +172,7 @@ Response ServeService::handle_query(const QueryRequest& query) {
   key.m = query.partition >= 0 ? 0u : query.m;
   key.partition = query.partition;
   key.seed = query.seed;
+  key.want_starts = query.want_starts;
 
   // May block on a leader in flight and rethrows the leader's failure —
   // handle() turns it into the same error response a solo query gets.
@@ -275,8 +276,10 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
 #if !defined(SWEEP_OBS_DISABLE)
   if (obs_armed) SWEEP_OBS_HIST_RECORD("serve.schedule_ns", obs_lap());
 #endif
-  const core::C1Cost c1 = core::comm_cost_c1(tg, assignment, /*jobs=*/1);
+  // The C2 pass counts every task's off-processor successors; their sum is
+  // C1, so no second walk over the edges.
   const core::C2Cost c2 = core::comm_cost_c2(tg, schedule);
+  const std::size_t total_edges = tg.n_edges();
   // makespan() scans every task's start time; computed once and shared by
   // the quality telemetry and the response (a second scan would make the
   // armed path visibly slower than disarmed — the overhead bench caught
@@ -299,10 +302,10 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
           1.0 - static_cast<double>(tg.n_tasks()) /
                     (static_cast<double>(makespan) * static_cast<double>(m)));
     }
-    if (c1.total_edges > 0) {
+    if (total_edges > 0) {
       SWEEP_OBS_OBSERVE("quality.c1_fraction",
-                        static_cast<double>(c1.cross_edges) /
-                            static_cast<double>(c1.total_edges));
+                        static_cast<double>(c2.cross_edges) /
+                            static_cast<double>(total_edges));
     }
     SWEEP_OBS_OBSERVE("quality.c2_total_delay", c2.total_delay);
   }
@@ -310,17 +313,17 @@ QueryResponse ServeService::compute_query(const dag::Artifact& artifact,
 
   QueryResponse payload;
   payload.makespan = makespan;
-  payload.c1_cross_edges = c1.cross_edges;
-  payload.c1_total_edges = c1.total_edges;
+  payload.c1_cross_edges = c2.cross_edges;
+  payload.c1_total_edges = total_edges;
   payload.c2_total_delay = c2.total_delay;
   payload.c2_max_step_degree = c2.max_step_degree;
   payload.c2_busy_steps = c2.busy_steps;
   payload.schedule_hash = util::fnv1a_span<core::TimeStep>(
       schedule.starts(),
       util::fnv1a_span<core::ProcessorId>(schedule.assignment()));
-  // Starts are ALWAYS materialized: the cache stores the full payload so a
-  // want_starts probe hits the same entry a scalar probe filled.
-  payload.starts = schedule.starts();
+  // Only a query that asks for the start array carries it: the payload is
+  // what the cache stores, and a scalar entry stays a few hundred bytes.
+  if (query.want_starts) payload.starts = schedule.starts();
   return payload;
 }
 

@@ -28,12 +28,12 @@
 //
 // Schedule cache (DESIGN.md §15): handle_query probes a sharded concurrent
 // ScheduleCache keyed by (artifact content hash, scheme, m-or-partition,
-// seed) before computing. A hit assembles the wire response from the same
-// cached payload fields the cold path produced, so hits are byte-identical
-// to cold responses; concurrent identical misses coalesce onto one
-// list_schedule via the cache's single-flight tickets. swap_to() flips the
-// cache's epoch to the new content hash, so a hot swap can never serve a
-// stale schedule.
+// seed, want_starts) before computing. A hit assembles the wire response
+// from the same cached payload fields the cold path produced, so hits are
+// byte-identical to cold responses; concurrent identical misses coalesce
+// onto one list_schedule via the cache's single-flight tickets. swap_to()
+// flips the cache's epoch to the new content hash, so a hot swap can never
+// serve a stale schedule.
 
 #include <atomic>
 #include <cstdint>
@@ -98,8 +98,9 @@ class ServeService {
   Response handle_stats();
 
   /// The cold path: one full schedule + cost evaluation against `artifact`.
-  /// Always populates `starts` (the cache stores the full payload so
-  /// want_starts probes hit the same entry).
+  /// Populates `starts` only when the query sets want_starts, so a scalar
+  /// query's cache entry holds its scalars alone; C1 comes from the C2
+  /// pass's cross-edge sum.
   QueryResponse compute_query(const dag::Artifact& artifact,
                               const QueryRequest& query);
 

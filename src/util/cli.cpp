@@ -126,6 +126,17 @@ std::int64_t CliParser::integer(const std::string& name) const {
   return parse_strict_int(name, options_.at(name).value);
 }
 
+std::size_t CliParser::non_negative(const std::string& name) const {
+  const std::string& text = options_.at(name).value;
+  const std::int64_t value = parse_strict_int(name, text);
+  if (value < 0) {
+    throw std::invalid_argument("--" + name +
+                                ": expected a non-negative integer, got '" +
+                                text + "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double CliParser::real(const std::string& name) const {
   return parse_strict_real(name, options_.at(name).value);
 }

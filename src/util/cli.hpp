@@ -4,6 +4,7 @@
 // ("--full"). Unknown options raise an error listing valid names so each
 // binary is self-documenting via --help.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -32,6 +33,9 @@ class CliParser {
   /// std::invalid_argument naming the option on malformed values — a typo
   /// like "--procs=abc" must not silently become 0 processors downstream.
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
+  /// integer() for counts and sizes: a negative value throws the same
+  /// std::invalid_argument, so "--cache-bytes -1" cannot wrap to 2^64 - 1.
+  [[nodiscard]] std::size_t non_negative(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
   /// Comma-separated integer list, e.g. "--procs 8,16,32". Empty string is
   /// the empty list; empty or malformed elements throw.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sweep::util {
 namespace {
@@ -62,6 +63,45 @@ TEST(Cli, IntegerRejectsEmptyAndOverflow) {
   ASSERT_TRUE(cli.parse(4, argv));
   EXPECT_THROW((void)cli.integer("name"), std::invalid_argument);
   EXPECT_THROW((void)cli.integer("scale"), std::invalid_argument);
+}
+
+TEST(Cli, NonNegativeRejectsNegativeValues) {
+  // The sweep_serve sizes and counts: a negative value must not wrap to
+  // 2^64 - 1 (an unbounded cache, a pool of 2^64 - 1 threads).
+  CliParser cli("prog", "t");
+  cli.add_option("threads", "0", "worker threads");
+  cli.add_option("cache-entries", "4096", "entry bound");
+  cli.add_option("cache-bytes", "268435456", "byte bound");
+  cli.add_option("slow-request-ms", "50", "slow-request threshold");
+  const char* argv[] = {"prog", "--threads", "-1", "--cache-bytes=-1",
+                        "--slow-request-ms", "-9223372036854775808"};
+  ASSERT_TRUE(cli.parse(6, argv));
+  EXPECT_THROW((void)cli.non_negative("threads"), std::invalid_argument);
+  EXPECT_THROW((void)cli.non_negative("cache-bytes"), std::invalid_argument);
+  EXPECT_THROW((void)cli.non_negative("slow-request-ms"),
+               std::invalid_argument);
+  EXPECT_EQ(cli.non_negative("cache-entries"), 4096u);
+  // integer() still reads the raw value for options that may be negative.
+  EXPECT_EQ(cli.integer("threads"), -1);
+  try {
+    (void)cli.non_negative("cache-bytes");
+    FAIL() << "--cache-bytes=-1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--cache-bytes"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, NonNegativeAcceptsZeroAndRejectsGarbage) {
+  CliParser cli("prog", "t");
+  cli.add_option("cache-entries", "0", "entry bound");
+  cli.add_option("threads", "4x", "worker threads");
+  cli.add_option("cache-bytes", "99999999999999999999999", "byte bound");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_EQ(cli.non_negative("cache-entries"), 0u);
+  EXPECT_THROW((void)cli.non_negative("threads"), std::invalid_argument);
+  EXPECT_THROW((void)cli.non_negative("cache-bytes"), std::invalid_argument);
 }
 
 TEST(Cli, RealRejectsTrailingGarbage) {

@@ -28,6 +28,11 @@ void expect_c2_matches_reference(const dag::SweepInstance& inst,
   EXPECT_EQ(c2.total_delay, reference.total_delay) << what;
   EXPECT_EQ(c2.max_step_degree, reference.max_step_degree) << what;
   EXPECT_EQ(c2.busy_steps, reference.busy_steps) << what;
+  // Both passes count every message, so both sum to C1.
+  const std::size_t c1 =
+      comm_cost_c1_reference(inst, s.assignment()).cross_edges;
+  EXPECT_EQ(c2.cross_edges, c1) << what;
+  EXPECT_EQ(reference.cross_edges, c1) << what;
 }
 
 struct C2Case {

@@ -9,7 +9,6 @@
 #include "core/assignment.hpp"
 #include "core/comm_cost.hpp"
 #include "core/comm_rounds.hpp"
-#include "core/priorities.hpp"
 #include "core/random_delay.hpp"
 #include "core/validate.hpp"
 #include "sweep/random_dag.hpp"
@@ -34,26 +33,17 @@ TEST_P(PropertySweep, UniversalScheduleInvariants) {
   for (Algorithm algorithm :
        {Algorithm::kRandomDelayPriorities, Algorithm::kLevelPriorities,
         Algorithm::kDescendantDelays, Algorithm::kDfdsPriorities,
-        Algorithm::kBLevelPriorities}) {
+        Algorithm::kDfdsDelays, Algorithm::kBLevelPriorities}) {
     util::Rng rng(99);
-    const auto schedule = run_algorithm(algorithm, inst, p.m, rng);
+    std::vector<TimeStep> releases;
+    const auto schedule =
+        run_algorithm(algorithm, inst, p.m, rng, {}, &releases);
     const auto valid = validate_schedule(inst, schedule);
     ASSERT_TRUE(valid) << algorithm_name(algorithm) << ": " << valid.error;
 
     // 1. Work conservation: no processor idles while one of its tasks is
-    //    ready. Descendant-delays gates tasks on release times, which
-    //    replaying run_algorithm's draws on the same seed recovers: the
-    //    assignment, the descendant priorities, then the delays.
-    std::vector<TimeStep> releases;
-    if (algorithm == Algorithm::kDescendantDelays) {
-      util::Rng replay(99);
-      const Assignment assignment =
-          random_assignment(inst.n_cells(), p.m, replay);
-      ASSERT_EQ(assignment, schedule.assignment());
-      (void)descendant_priorities(inst, replay);
-      releases = delay_release_times(
-          inst, random_delays(inst.n_directions(), replay));
-    }
+    //    released and ready. The delay variants gate tasks on the release
+    //    times run_algorithm drew and reported.
     const auto analysis = analyze_schedule(inst, schedule, releases);
     EXPECT_EQ(analysis.avoidable_idle_slots, 0u) << algorithm_name(algorithm);
     // 2. Makespan bounded below by every component of the lower bound and

@@ -963,11 +963,46 @@ TEST(ServeService, CacheHitIsByteIdenticalToTheColdPath) {
     }
   }
   const ScheduleCacheStats stats = cached.cache_stats();
-  // 3 schemes x (1 miss + 5 hits): the want_starts=true probe hits the
-  // entry its scalar twin filled — starts are cached unconditionally.
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.hits, 15u);
-  EXPECT_EQ(stats.hit_rate_pct(), 83u);
+  // 3 schemes x 2 keys x (1 miss + 2 hits): a want_starts query and its
+  // scalar twin are separate keys, since only the former's entry holds the
+  // start array.
+  EXPECT_EQ(stats.misses, 6u);
+  EXPECT_EQ(stats.hits, 12u);
+  EXPECT_EQ(stats.hit_rate_pct(), 66u);
+}
+
+TEST(ServeService, ScalarEntriesFitABudgetNoStartArrayFits) {
+  // The byte budget is the bare start array: every entry that holds one
+  // costs more and is never admitted, while a scalar entry fits many times
+  // over. A repeated scalar query hits; a repeated want_starts query
+  // recomputes every time — the paper-scale case, where no start array
+  // fits a shard's share of --cache-bytes, in miniature.
+  const dag::SweepInstance instance = make_instance();
+  ScheduleCacheOptions options;
+  options.shards = 1;
+  options.max_bytes = instance.n_tasks() * sizeof(std::uint32_t);
+  ServeService cached = make_service(instance, true, options);
+  ServeService cold = make_service(instance, true, no_cache());
+
+  Request scalar = query_request(Scheme::kLevel, 4, 21);
+  Request with_starts = scalar;
+  with_starts.query.want_starts = true;
+  const std::vector<std::byte> scalar_bytes =
+      encode_response(cold.handle(scalar));
+  const std::vector<std::byte> starts_bytes =
+      encode_response(cold.handle(with_starts));
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(encode_response(cached.handle(scalar)), scalar_bytes)
+        << "round " << round;
+    EXPECT_EQ(encode_response(cached.handle(with_starts)), starts_bytes)
+        << "round " << round;
+  }
+  const ScheduleCacheStats stats = cached.cache_stats();
+  EXPECT_EQ(stats.hits, 2u);    // the scalar repeats
+  EXPECT_EQ(stats.misses, 4u);  // one scalar fill, three start-array computes
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_LE(stats.bytes, options.max_bytes);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(ServeService, ConcurrentIdenticalQueriesComputeOnce) {

@@ -10,7 +10,10 @@
 // atomically — in-flight queries finish on the artifact they started with
 // (see serve/service.hpp). Ask it things with sweep_query.
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -33,7 +36,10 @@ static int run_main(int argc, char** argv) {
                  "schedule cache entry bound across shards (0 disables "
                  "caching and single-flight coalescing)");
   cli.add_option("cache-bytes", "268435456",
-                 "schedule cache approximate byte bound (0 disables)");
+                 "schedule cache approximate byte bound (0 disables); "
+                 "a scalar entry costs about 260 bytes, so in effect this "
+                 "bounds the entries of queries that ask for start arrays, "
+                 "and one above a shard's 1/16 share is not cached");
   cli.add_option("metrics-out", "",
                  "write the metrics registry at shutdown (.prom extension "
                  "= Prometheus text format, anything else = JSON)");
@@ -45,6 +51,20 @@ static int run_main(int argc, char** argv) {
     std::fprintf(stderr, "--artifact is required\n");
     return 1;
   }
+  // Every numeric option is read before anything is loaded or started, so
+  // a malformed or negative value fails here (guarded_main, exit 2).
+  serve::ScheduleCacheOptions cache_options;
+  cache_options.max_entries = cli.non_negative("cache-entries");
+  cache_options.max_bytes = cli.non_negative("cache-bytes");
+  serve::ServerOptions options;
+  options.socket_path = cli.str("socket");
+  options.threads = cli.non_negative("threads");
+  constexpr std::uint64_t kNsPerMs = 1'000'000;
+  const std::uint64_t slow_ms = cli.non_negative("slow-request-ms");
+  if (slow_ms > std::numeric_limits<std::uint64_t>::max() / kNsPerMs) {
+    throw std::invalid_argument("--slow-request-ms: out of range");
+  }
+  options.slow_request_ns = slow_ms * kNsPerMs;
 
   // The daemon arms metrics unconditionally: latency histograms are what
   // the kStats endpoint (and sweep_top) serve, and the armed overhead is
@@ -54,11 +74,6 @@ static int run_main(int argc, char** argv) {
   if (!cli.str("trace-out").empty()) obs::start_tracing();
 #endif
 
-  serve::ScheduleCacheOptions cache_options;
-  cache_options.max_entries =
-      static_cast<std::size_t>(cli.integer("cache-entries"));
-  cache_options.max_bytes =
-      static_cast<std::size_t>(cli.integer("cache-bytes"));
   serve::ServeService service =
       serve::ServeService::from_file(cli.str("artifact"), cache_options);
   {
@@ -73,11 +88,6 @@ static int run_main(int argc, char** argv) {
                 artifact->has_descendants() ? "yes" : "no");
   }
 
-  serve::ServerOptions options;
-  options.socket_path = cli.str("socket");
-  options.threads = static_cast<std::size_t>(cli.integer("threads"));
-  options.slow_request_ns =
-      static_cast<std::uint64_t>(cli.integer("slow-request-ms")) * 1'000'000;
   serve::Server server(service, options);
   server.start();
   std::printf("listening on %s\n", options.socket_path.c_str());
