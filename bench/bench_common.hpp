@@ -196,9 +196,6 @@ inline std::vector<double> parallel_trials(const dag::SweepInstance& instance,
                       static_cast<std::int64_t>(specs.size()), "trials",
                       static_cast<std::int64_t>(trials));
   SWEEP_OBS_TIMER("bench.parallel_trials");
-  // Warm the shared lazy caches serially so no worker pays the one-time
-  // build inside its first trial (call_once already makes this safe).
-  (void)instance.task_graph();
 
   std::vector<double> makespans(specs.size() * trials);
   util::parallel_for(

@@ -131,7 +131,6 @@ static int run_main(int argc, char** argv) {
   for (std::size_t i = 0; i < kCallsPerRep; ++i) {
     assignments.push_back(core::random_assignment(n, m, rng));
   }
-  (void)instance.task_graph();  // warm the lazy CSR outside the timing
 
   // Per-call interleaving, as in the serve section below: every assignment
   // is scheduled three times back to back, once per mode, with the mode

@@ -13,7 +13,6 @@
 #include <span>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
 #include "sweep/task_graph.hpp"
 
 namespace sweep::core {
@@ -45,11 +44,12 @@ Schedule list_schedule(const dag::TaskGraph& graph, const Assignment& assignment
                        std::size_t n_processors,
                        const ListScheduleOptions& options = {});
 
-/// The pre-engine implementation (per-direction DAG walks, task-id
-/// arithmetic per edge, per-processor binary heaps). Produces bit-identical
-/// schedules to list_schedule; kept as the oracle for the engine identity
-/// tests, the fuzz campaign and the ledger's checksum gates.
-Schedule list_schedule_reference(const dag::SweepInstance& instance,
+/// The pre-engine implementation (per-processor binary heaps, a release
+/// heap, indegrees recounted from the successor lists). Produces
+/// bit-identical schedules to list_schedule; kept as the oracle for the
+/// engine identity tests, the fuzz campaign and the ledger's checksum gates.
+/// It shares only the CSR arrays (offsets, targets) with the engine.
+Schedule list_schedule_reference(const dag::TaskGraph& graph,
                                  const Assignment& assignment,
                                  std::size_t n_processors,
                                  const ListScheduleOptions& options = {});

@@ -11,10 +11,12 @@
 // case.
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "mesh/mesh.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::core {
 
@@ -38,20 +40,23 @@ struct WeightedSchedule {
 
 /// Runs prioritized list scheduling with per-cell processing times
 /// `cell_weights` (all > 0; task (v,i) costs cell_weights[v] for every i).
-WeightedSchedule weighted_list_schedule(const dag::SweepInstance& instance,
+WeightedSchedule weighted_list_schedule(const dag::TaskGraph& graph,
                                         const Assignment& assignment,
                                         std::size_t n_processors,
                                         std::span<const double> cell_weights,
                                         const WeightedScheduleOptions& options = {});
 
-/// Feasibility check for weighted schedules: precedence with durations,
-/// per-processor non-overlap. Returns an empty string when feasible.
-std::string validate_weighted_schedule(const dag::SweepInstance& instance,
+/// Feasibility check for weighted schedules: shape, processor range,
+/// precedence with durations, per-processor non-overlap. Returns an empty
+/// string when feasible and the first problem found otherwise.
+std::string validate_weighted_schedule(const dag::TaskGraph& graph,
                                        const WeightedSchedule& schedule,
                                        std::span<const double> cell_weights);
 
 /// Lower bound: max{ total weighted load / m, max weighted path, k * min w }.
-double weighted_lower_bound(const dag::SweepInstance& instance,
+/// Throws std::invalid_argument unless there is one weight per cell and
+/// n_processors >= 1.
+double weighted_lower_bound(const dag::TaskGraph& graph,
                             std::size_t n_processors,
                             std::span<const double> cell_weights);
 

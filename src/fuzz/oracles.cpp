@@ -389,9 +389,8 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     }
     for (const std::size_t i : {std::size_t{0}, k - 1}) {
       if (i >= k) break;
-      const dag::SweepDag& g = instance->dag(i);
-      if (dag::exact_descendant_counts(g) !=
-          dag::exact_descendant_counts_reference(g)) {
+      if (dag::exact_descendant_counts(*instance, i) !=
+          dag::exact_descendant_counts_reference(*instance, i)) {
         fail("preproc_identity",
              "tiled exact_descendant_counts diverges from reference "
              "(direction " + std::to_string(i) + ")");

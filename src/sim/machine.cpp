@@ -6,14 +6,24 @@
 
 namespace sweep::sim {
 
-SimulationResult simulate_execution(const dag::SweepInstance& instance,
+SimulationResult simulate_execution(const dag::TaskGraph& graph,
                                     const core::Schedule& schedule,
                                     const MachineModel& model) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
-  const std::size_t total = n * k;
-  if (schedule.n_tasks() != total) {
-    throw std::invalid_argument("simulate_execution: shape mismatch");
+  const std::size_t n = graph.n_cells();
+  const std::size_t total = graph.n_tasks();
+  // A schedule of another shape with the same task count (4 cells x 6
+  // directions against 6 x 4) would read past its assignment, and a
+  // processor id >= m past the per-processor arrays below.
+  if (schedule.n_cells() != n || schedule.n_tasks() != total ||
+      schedule.assignment().size() != n) {
+    throw std::invalid_argument(
+        "simulate_execution: schedule does not match instance");
+  }
+  for (const core::ProcessorId p : schedule.assignment()) {
+    if (p >= schedule.n_processors()) {
+      throw std::invalid_argument(
+          "simulate_execution: assignment names a processor >= n_processors");
+    }
   }
   if (!schedule.complete()) {
     throw std::invalid_argument("simulate_execution: schedule incomplete");
@@ -52,13 +62,9 @@ SimulationResult simulate_execution(const dag::SweepInstance& instance,
     result.completion_time = std::max(result.completion_time, finish);
 
     // Deliver outputs.
-    const auto v = core::task_cell(t, n);
-    const auto dir = core::task_direction(t, n);
-    const dag::SweepDag& g = instance.dag(dir);
     bool sent_any = false;
-    for (dag::NodeId w : g.successors(v)) {
-      const core::TaskId succ = core::task_id(w, dir, n);
-      if (schedule.processor_of_cell(w) == p) {
+    for (const core::TaskId succ : graph.successors(t)) {
+      if (schedule.processor_of(succ) == p) {
         input_ready[succ] = std::max(input_ready[succ], finish);
       } else {
         const double nic_start = std::max(finish, nic_free[p]);

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::sim {
 
@@ -50,8 +50,10 @@ struct SimulationResult {
 
 /// Replays `schedule` on the modeled machine. The schedule must be complete
 /// and feasible; each processor executes its tasks in increasing scheduled
-/// start order, waiting for upstream messages as needed.
-SimulationResult simulate_execution(const dag::SweepInstance& instance,
+/// start order, waiting for upstream messages as needed. Throws
+/// std::invalid_argument for an incomplete schedule, one whose shape differs
+/// from the graph's, an assignment entry >= n_processors, or task_time <= 0.
+SimulationResult simulate_execution(const dag::TaskGraph& graph,
                                     const core::Schedule& schedule,
                                     const MachineModel& model = {});
 

@@ -9,55 +9,27 @@ SweepDag::SweepDag(std::size_t n_nodes,
                    std::span<const std::pair<NodeId, NodeId>> edges)
     : n_nodes_(n_nodes) {
   out_offsets_.assign(n_nodes + 1, 0);
-  in_offsets_.assign(n_nodes + 1, 0);
   for (const auto& [u, v] : edges) {
     if (u >= n_nodes || v >= n_nodes) {
       throw std::invalid_argument("SweepDag: edge endpoint out of range");
     }
     ++out_offsets_[u + 1];
-    ++in_offsets_[v + 1];
   }
   for (std::size_t i = 0; i < n_nodes; ++i) {
     out_offsets_[i + 1] += out_offsets_[i];
-    in_offsets_[i + 1] += in_offsets_[i];
   }
   targets_.resize(edges.size());
-  sources_.resize(edges.size());
   std::vector<std::uint32_t> out_cursor(out_offsets_.begin(), out_offsets_.end() - 1);
-  std::vector<std::uint32_t> in_cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    targets_[out_cursor[u]++] = v;
-    sources_[in_cursor[v]++] = u;
-  }
+  for (const auto& [u, v] : edges) targets_[out_cursor[u]++] = v;
 }
 
-bool SweepDag::is_acyclic() const {
-  std::vector<std::uint32_t> indeg(n_nodes_);
+std::size_t SweepDag::longest_paths(std::vector<std::uint32_t>& level) const {
+  level.assign(n_nodes_, 0);
+  std::vector<std::uint32_t> indeg(n_nodes_, 0);
+  for (NodeId w : targets_) ++indeg[w];
   std::vector<NodeId> queue;
   queue.reserve(n_nodes_);
   for (NodeId v = 0; v < n_nodes_; ++v) {
-    indeg[v] = static_cast<std::uint32_t>(in_degree(v));
-    if (indeg[v] == 0) queue.push_back(v);
-  }
-  std::size_t processed = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    ++processed;
-    for (NodeId w : successors(v)) {
-      if (--indeg[w] == 0) queue.push_back(w);
-    }
-  }
-  return processed == n_nodes_;
-}
-
-std::vector<std::uint32_t> SweepDag::levels() const {
-  std::vector<std::uint32_t> level(n_nodes_, 0);
-  std::vector<std::uint32_t> indeg(n_nodes_);
-  std::vector<NodeId> queue;
-  queue.reserve(n_nodes_);
-  for (NodeId v = 0; v < n_nodes_; ++v) {
-    indeg[v] = static_cast<std::uint32_t>(in_degree(v));
     if (indeg[v] == 0) queue.push_back(v);
   }
   std::size_t processed = 0;
@@ -70,76 +42,20 @@ std::vector<std::uint32_t> SweepDag::levels() const {
       if (--indeg[w] == 0) queue.push_back(w);
     }
   }
-  if (processed != n_nodes_) {
+  return processed;
+}
+
+bool SweepDag::is_acyclic() const {
+  std::vector<std::uint32_t> level;
+  return longest_paths(level) == n_nodes_;
+}
+
+std::vector<std::uint32_t> SweepDag::levels() const {
+  std::vector<std::uint32_t> level;
+  if (longest_paths(level) != n_nodes_) {
     throw std::logic_error("SweepDag::levels: graph has a cycle");
   }
   return level;
-}
-
-std::vector<std::uint32_t> SweepDag::b_levels() const {
-  // Longest path (in nodes) from each node to a sink, via reverse Kahn.
-  std::vector<std::uint32_t> blevel(n_nodes_, 1);
-  std::vector<std::uint32_t> outdeg(n_nodes_);
-  std::vector<NodeId> queue;
-  queue.reserve(n_nodes_);
-  for (NodeId v = 0; v < n_nodes_; ++v) {
-    outdeg[v] = static_cast<std::uint32_t>(out_degree(v));
-    if (outdeg[v] == 0) queue.push_back(v);
-  }
-  std::size_t processed = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    ++processed;
-    for (NodeId u : predecessors(v)) {
-      blevel[u] = std::max(blevel[u], blevel[v] + 1);
-      if (--outdeg[u] == 0) queue.push_back(u);
-    }
-  }
-  if (processed != n_nodes_) {
-    throw std::logic_error("SweepDag::b_levels: graph has a cycle");
-  }
-  return blevel;
-}
-
-std::vector<NodeId> SweepDag::topological_order() const {
-  std::vector<NodeId> order;
-  order.reserve(n_nodes_);
-  std::vector<std::uint32_t> indeg(n_nodes_);
-  std::vector<NodeId> queue;
-  for (NodeId v = 0; v < n_nodes_; ++v) {
-    indeg[v] = static_cast<std::uint32_t>(in_degree(v));
-    if (indeg[v] == 0) queue.push_back(v);
-  }
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    order.push_back(v);
-    for (NodeId w : successors(v)) {
-      if (--indeg[w] == 0) queue.push_back(w);
-    }
-  }
-  if (order.size() != n_nodes_) {
-    throw std::logic_error("SweepDag::topological_order: graph has a cycle");
-  }
-  return order;
-}
-
-std::size_t SweepDag::depth() const {
-  if (n_nodes_ == 0) return 0;
-  const auto lv = levels();
-  return 1 + static_cast<std::size_t>(*std::max_element(lv.begin(), lv.end()));
-}
-
-std::vector<std::vector<NodeId>> group_by_level(
-    const std::vector<std::uint32_t>& levels) {
-  std::uint32_t max_level = 0;
-  for (std::uint32_t l : levels) max_level = std::max(max_level, l);
-  std::vector<std::vector<NodeId>> groups(levels.empty() ? 0 : max_level + 1);
-  for (NodeId v = 0; v < levels.size(); ++v) {
-    groups[levels[v]].push_back(v);
-  }
-  return groups;
 }
 
 }  // namespace sweep::dag

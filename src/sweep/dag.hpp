@@ -1,8 +1,9 @@
 #pragma once
-// SweepDag: the per-direction precedence DAG over mesh cells, stored in CSR
-// (both out- and in-adjacency) for O(1)-amortized traversal by the
-// schedulers. Also provides the level/layer machinery of the paper
-// (Section 3), b-levels for DFDS, and topological utilities.
+// SweepDag: the per-direction precedence DAG over mesh cells, stored as an
+// out-adjacency CSR. It is construction input: the geometric and random
+// builders produce one per direction, and SweepInstance flattens them into
+// its TaskGraph (sweep/task_graph.hpp), which every walk after that reads.
+// Also provides the level machinery of the paper (Section 3).
 
 #include <cstdint>
 #include <span>
@@ -27,15 +28,8 @@ class SweepDag {
     return {targets_.data() + out_offsets_[v],
             out_offsets_[v + 1] - out_offsets_[v]};
   }
-  [[nodiscard]] std::span<const NodeId> predecessors(NodeId v) const {
-    return {sources_.data() + in_offsets_[v],
-            in_offsets_[v + 1] - in_offsets_[v]};
-  }
   [[nodiscard]] std::size_t out_degree(NodeId v) const {
     return out_offsets_[v + 1] - out_offsets_[v];
-  }
-  [[nodiscard]] std::size_t in_degree(NodeId v) const {
-    return in_offsets_[v + 1] - in_offsets_[v];
   }
 
   /// True iff the digraph has no directed cycle (Kahn's algorithm).
@@ -46,26 +40,15 @@ class SweepDag {
   /// root). Throws std::logic_error if the graph has a cycle.
   [[nodiscard]] std::vector<std::uint32_t> levels() const;
 
-  /// b-level of each node (Pautz/DFDS): number of nodes on the longest
-  /// directed path starting at the node (leaves have b-level 1).
-  [[nodiscard]] std::vector<std::uint32_t> b_levels() const;
-
-  /// Some topological order (Kahn). Throws std::logic_error on cycles.
-  [[nodiscard]] std::vector<NodeId> topological_order() const;
-
-  /// Number of levels (= max level + 1); 0 for an empty graph.
-  [[nodiscard]] std::size_t depth() const;
-
  private:
+  /// Kahn's algorithm over the out-CSR, indegrees counted from the targets:
+  /// fills `level` and returns how many nodes it reached (n_nodes() iff the
+  /// graph is acyclic).
+  std::size_t longest_paths(std::vector<std::uint32_t>& level) const;
+
   std::size_t n_nodes_ = 0;
   std::vector<std::uint32_t> out_offsets_ = {0};
   std::vector<NodeId> targets_;
-  std::vector<std::uint32_t> in_offsets_ = {0};
-  std::vector<NodeId> sources_;
 };
-
-/// Groups node ids by level: result[l] = nodes at level l.
-std::vector<std::vector<NodeId>> group_by_level(
-    const std::vector<std::uint32_t>& levels);
 
 }  // namespace sweep::dag

@@ -10,22 +10,19 @@
 
 namespace sweep::dag {
 
-std::unique_ptr<SweepInstance::LazyCaches> SweepInstance::fresh_caches(
+std::unique_ptr<SweepInstance::DescendantCache> SweepInstance::empty_cache(
     std::size_t k) {
-  auto caches = std::make_unique<LazyCaches>();
-  caches->descendant_once = std::make_unique<std::once_flag[]>(k);
-  caches->descendant_counts.resize(k);
-  return caches;
+  auto cache = std::make_unique<DescendantCache>();
+  cache->once = std::make_unique<std::once_flag[]>(k);
+  cache->counts.resize(k);
+  return cache;
 }
 
-SweepInstance::SweepInstance(std::size_t n_cells, std::vector<SweepDag> dags,
-                             std::string name)
-    : n_cells_(n_cells),
-      dags_(std::move(dags)),
-      name_(std::move(name)),
-      caches_(fresh_caches(dags_.size())) {
-  for (const SweepDag& g : dags_) {
-    if (g.n_nodes() != n_cells_) {
+namespace {
+
+TaskGraph checked_graph(std::size_t n_cells, const std::vector<SweepDag>& dags) {
+  for (const SweepDag& g : dags) {
+    if (g.n_nodes() != n_cells) {
       throw std::invalid_argument(
           "SweepInstance: all DAGs must share the cell id space");
     }
@@ -33,55 +30,42 @@ SweepInstance::SweepInstance(std::size_t n_cells, std::vector<SweepDag> dags,
   // Zero directions is a legal (fully degenerate) instance, symmetric with
   // the n_cells == 0 support: it has no tasks, an empty task graph, and
   // round-trips through save_instance/load_instance.
+  SWEEP_OBS_SCOPE("dag.task_graph.build");
+  return TaskGraph::build(n_cells, dags);
 }
+
+}  // namespace
+
+SweepInstance::SweepInstance(std::size_t n_cells, std::vector<SweepDag> dags,
+                             std::string name)
+    : graph_(std::make_unique<const TaskGraph>(checked_graph(n_cells, dags))),
+      name_(std::move(name)),
+      cache_(empty_cache(dags.size())) {}
 
 SweepInstance::SweepInstance(const SweepInstance& other)
-    : n_cells_(other.n_cells_),
-      dags_(other.dags_),
+    : graph_(std::make_unique<const TaskGraph>(*other.graph_)),
       name_(other.name_),
-      caches_(fresh_caches(dags_.size())) {}
+      cache_(empty_cache(other.n_directions())) {}
 
 SweepInstance& SweepInstance::operator=(const SweepInstance& other) {
-  if (this != &other) {
-    n_cells_ = other.n_cells_;
-    dags_ = other.dags_;
-    name_ = other.name_;
-    caches_ = fresh_caches(dags_.size());
-  }
+  if (this != &other) *this = SweepInstance(other);
   return *this;
-}
-
-const TaskGraph& SweepInstance::task_graph() const {
-  std::call_once(caches_->task_graph_once, [this] {
-    SWEEP_OBS_SCOPE("dag.task_graph.build");
-    caches_->task_graph = TaskGraph::build(n_cells_, dags_);
-    SWEEP_OBS_COUNTER_ADD("dag.task_graph.builds", 1);
-  });
-  return caches_->task_graph;
 }
 
 const std::vector<std::uint64_t>& SweepInstance::exact_descendant_counts(
     std::size_t i) const {
-  std::call_once(caches_->descendant_once[i], [this, i] {
+  std::call_once(cache_->once[i], [this, i] {
     SWEEP_OBS_SCOPE("dag.descendant_counts.build");
-    caches_->descendant_counts[i] =
-        dag::exact_descendant_counts(dags_[i], dags_[i].n_nodes());
+    cache_->counts[i] = dag::exact_descendant_counts(*graph_, i, n_cells());
     SWEEP_OBS_COUNTER_ADD("dag.descendant_counts.builds", 1);
   });
-  return caches_->descendant_counts[i];
+  return cache_->counts[i];
 }
 
 std::size_t SweepInstance::max_depth() const {
   // max_level() reads 0 both for a single level and for no tasks at all.
-  return n_tasks() == 0
-             ? 0
-             : static_cast<std::size_t>(task_graph().max_level()) + 1;
-}
-
-std::size_t SweepInstance::total_edges() const {
-  std::size_t total = 0;
-  for (const SweepDag& g : dags_) total += g.n_edges();
-  return total;
+  return n_tasks() == 0 ? 0
+                        : static_cast<std::size_t>(graph_->max_level()) + 1;
 }
 
 SweepInstance build_instance(const mesh::UnstructuredMesh& mesh,

@@ -1,8 +1,9 @@
 #pragma once
 // SweepInstance: a full sweep-scheduling problem instance — n cells and one
-// precedence DAG per direction over the same cell id space (paper Section 3).
-// Instances are built geometrically from a mesh + direction set, or
-// synthetically (random DAGs) for the non-geometric scenarios.
+// precedence DAG per direction over the same cell id space (paper Section 3),
+// held as one flat TaskGraph over all n*k tasks. Instances are built
+// geometrically from a mesh + direction set, or synthetically (random DAGs)
+// for the non-geometric scenarios.
 
 #include <cstdint>
 #include <memory>
@@ -19,33 +20,37 @@ namespace sweep::dag {
 
 class SweepInstance {
  public:
+  /// Flattens the per-direction DAGs into the instance's TaskGraph and drops
+  /// them. Throws std::invalid_argument if a DAG's node count differs from
+  /// n_cells or the instance outgrows 32-bit task ids or edge offsets, and
+  /// std::logic_error if a DAG has a cycle.
   SweepInstance(std::size_t n_cells, std::vector<SweepDag> dags,
                 std::string name = "");
 
-  // The lazy caches live behind a unique_ptr (std::once_flag is neither
-  // movable nor copyable); copies start with fresh, empty caches.
+  // The graph lives behind a unique_ptr, so &task_graph() survives moves. A
+  // copy copies the graph and starts with an empty exact-count cache
+  // (std::once_flag is neither movable nor copyable).
   SweepInstance(const SweepInstance& other);
   SweepInstance& operator=(const SweepInstance& other);
   SweepInstance(SweepInstance&&) noexcept = default;
   SweepInstance& operator=(SweepInstance&&) noexcept = default;
   ~SweepInstance() = default;
 
-  [[nodiscard]] std::size_t n_cells() const { return n_cells_; }
-  [[nodiscard]] std::size_t n_directions() const { return dags_.size(); }
-  [[nodiscard]] std::size_t n_tasks() const { return n_cells_ * dags_.size(); }
-  [[nodiscard]] const SweepDag& dag(std::size_t i) const { return dags_[i]; }
-  [[nodiscard]] const std::vector<SweepDag>& dags() const { return dags_; }
+  [[nodiscard]] std::size_t n_cells() const { return graph_->n_cells(); }
+  [[nodiscard]] std::size_t n_directions() const {
+    return graph_->n_directions();
+  }
+  [[nodiscard]] std::size_t n_tasks() const { return graph_->n_tasks(); }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// The flat all-tasks CSR consumed by the scheduling engine; its levels()
-  /// hold every task's level, level(v, i) at task id i * n_cells + v. Built
-  /// lazily on first call and cached; safe to call concurrently.
-  [[nodiscard]] const TaskGraph& task_graph() const;
+  /// The flat all-tasks CSR every walk reads; its levels() hold every task's
+  /// level, level(v, i) at task id i * n_cells + v.
+  [[nodiscard]] const TaskGraph& task_graph() const { return *graph_; }
 
-  /// An instance is its task graph wherever sweep_core reads only n, k and
+  /// An instance is its task graph wherever a function reads only n, k and
   /// the CSR (DESIGN.md §8.1), so those functions take a TaskGraph and an
   /// instance passes for one.
-  operator const TaskGraph&() const { return task_graph(); }
+  operator const TaskGraph&() const { return *graph_; }
 
   /// Exact |descendants| of every cell in direction i (the tiled transitive
   /// closure, see sweep/descendants.hpp). The counts are rng-independent
@@ -62,27 +67,23 @@ class SweepInstance {
   /// instance without tasks.
   [[nodiscard]] std::size_t max_depth() const;
 
-  /// Total number of precedence edges over all DAGs.
-  [[nodiscard]] std::size_t total_edges() const;
+  /// Total number of precedence edges over all directions.
+  [[nodiscard]] std::size_t total_edges() const { return graph_->n_edges(); }
 
  private:
-  // Lazily computed, shared by concurrent schedule runs on one instance:
-  // each member is built exactly once under its once_flag.
-  struct LazyCaches {
-    std::once_flag task_graph_once;
-    TaskGraph task_graph;
-    // One flag + slot per direction (sized at construction; once_flag is
-    // not movable, hence the raw array).
-    std::unique_ptr<std::once_flag[]> descendant_once;
-    std::vector<std::vector<std::uint64_t>> descendant_counts;
+  // Shared by concurrent schedule runs on one instance: one flag + slot per
+  // direction, each slot filled exactly once under its flag (once_flag is
+  // not movable, hence the raw array).
+  struct DescendantCache {
+    std::unique_ptr<std::once_flag[]> once;
+    std::vector<std::vector<std::uint64_t>> counts;
   };
 
-  static std::unique_ptr<LazyCaches> fresh_caches(std::size_t k);
+  static std::unique_ptr<DescendantCache> empty_cache(std::size_t k);
 
-  std::size_t n_cells_;
-  std::vector<SweepDag> dags_;
+  std::unique_ptr<const TaskGraph> graph_;
   std::string name_;
-  mutable std::unique_ptr<LazyCaches> caches_;
+  mutable std::unique_ptr<DescendantCache> cache_;
 };
 
 struct InstanceBuildStats {

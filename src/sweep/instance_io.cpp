@@ -40,12 +40,15 @@ void save_instance(const SweepInstance& instance, std::ostream& out) {
   const std::string& raw = instance.name();
   const std::string name = raw.empty() ? "unnamed" : raw;
   out << "name " << name.size() << ' ' << name << "\n";
-  out << instance.n_cells() << ' ' << instance.n_directions() << "\n";
-  for (const SweepDag& g : instance.dags()) {
-    out << g.n_edges() << "\n";
-    for (NodeId u = 0; u < g.n_nodes(); ++u) {
-      for (NodeId v : g.successors(u)) {
-        out << u << ' ' << v << "\n";
+  const TaskGraph& graph = instance.task_graph();
+  const std::size_t n = graph.n_cells();
+  out << n << ' ' << graph.n_directions() << "\n";
+  for (std::size_t i = 0; i < graph.n_directions(); ++i) {
+    const std::size_t base = i * n;
+    out << graph.offsets()[base + n] - graph.offsets()[base] << "\n";
+    for (std::size_t u = 0; u < n; ++u) {
+      for (const TaskGraph::Task v : graph.successors(base + u)) {
+        out << u << ' ' << v - base << "\n";
       }
     }
   }
@@ -100,12 +103,16 @@ SweepInstance load_instance(std::istream& in) {
   }
   std::vector<SweepDag> dags;
   dags.reserve(static_cast<std::size_t>(k));
+  std::uint64_t total_edges = 0;
   for (std::uint64_t i = 0; i < k; ++i) {
     std::uint64_t edges = 0;
     if (!(in >> edges)) throw std::runtime_error("load_instance: missing edge count");
-    if (edges > kMaxIndex) {
+    // The summed count is capped too: TaskGraph::build would reject it with
+    // an invalid_argument from the SweepInstance constructor.
+    if (edges > kMaxIndex - total_edges) {
       throw std::runtime_error("load_instance: edge count too large");
     }
+    total_edges += edges;
     // The declared count caps the loop, but memory grows only with edges
     // actually present in the stream — a hostile header claiming 2^32 edges
     // over a 3-line file fails on the first missing edge, not in operator new.
@@ -123,8 +130,9 @@ SweepInstance load_instance(std::istream& in) {
       edge_list.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
     }
     dags.emplace_back(static_cast<std::size_t>(n), edge_list);
-    // SweepDag does not check acyclicity; a cycle left in would surface
-    // only later, as SweepDag::levels' logic_error.
+    // SweepDag does not check acyclicity; a cycle left in would surface as
+    // the logic_error SweepDag::levels throws in the SweepInstance
+    // constructor.
     if (!dags.back().is_acyclic()) {
       throw std::runtime_error("load_instance: direction " +
                                std::to_string(i) + " has a cycle");

@@ -11,19 +11,27 @@
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sweep/instance.hpp"
+#include "sweep/task_graph.hpp"
 
 namespace sweep::test {
 
 class OptimalOracle {
  public:
-  OptimalOracle(const dag::SweepInstance& instance,
+  OptimalOracle(const dag::TaskGraph& graph,
                 const core::Assignment& assignment, std::size_t n_processors)
-      : instance_(instance),
+      : n_cells_(graph.n_cells()),
         assignment_(assignment),
         n_processors_(n_processors),
-        total_(instance.n_cells() * instance.n_directions()) {
+        total_(graph.n_tasks()) {
     if (total_ > 20) throw std::invalid_argument("oracle: instance too large");
+    // Each task's predecessors as a mask, derived from the CSR: a task is
+    // ready once its mask is inside the done set.
+    pred_mask_.assign(total_, 0);
+    for (std::size_t t = 0; t < total_; ++t) {
+      for (const dag::TaskGraph::Task s : graph.successors(t)) {
+        pred_mask_[s] |= Mask{1} << t;
+      }
+    }
   }
 
   /// Optimal makespan for the FIXED assignment.
@@ -31,13 +39,13 @@ class OptimalOracle {
 
   /// Optimal over ALL assignments (enumerates m^n of them) — the true sweep
   /// scheduling OPT. Only for very small n.
-  static std::size_t optimal_over_assignments(const dag::SweepInstance& instance,
+  static std::size_t optimal_over_assignments(const dag::TaskGraph& graph,
                                               std::size_t n_processors) {
-    const std::size_t n = instance.n_cells();
+    const std::size_t n = graph.n_cells();
     std::size_t best = std::numeric_limits<std::size_t>::max();
     core::Assignment assignment(n, 0);
     for (;;) {
-      OptimalOracle oracle(instance, assignment, n_processors);
+      OptimalOracle oracle(graph, assignment, n_processors);
       best = std::min(best, oracle.optimal_makespan());
       // Increment the assignment like an odometer.
       std::size_t digit = 0;
@@ -60,19 +68,10 @@ class OptimalOracle {
 
     // Ready tasks under `done`.
     std::vector<core::TaskId> ready;
-    const std::size_t n = instance_.n_cells();
+    const std::size_t n = n_cells_;
     for (core::TaskId t = 0; t < total_; ++t) {
       if (done & (Mask{1} << t)) continue;
-      const auto v = core::task_cell(t, n);
-      const auto dir = core::task_direction(t, n);
-      bool ok = true;
-      for (dag::NodeId u : instance_.dag(dir).predecessors(v)) {
-        if (!(done & (Mask{1} << core::task_id(u, dir, n)))) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) ready.push_back(t);
+      if ((pred_mask_[t] & ~done) == 0) ready.push_back(t);
     }
 
     // Enumerate subsets of ready with <= 1 task per processor. Prune with
@@ -110,10 +109,11 @@ class OptimalOracle {
     return best;
   }
 
-  const dag::SweepInstance& instance_;
+  std::size_t n_cells_;
   core::Assignment assignment_;
   std::size_t n_processors_;
   std::size_t total_;
+  std::vector<Mask> pred_mask_;  ///< per task: bits of its predecessors
   std::unordered_map<Mask, std::size_t> memo_;
 };
 

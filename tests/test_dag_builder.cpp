@@ -133,9 +133,9 @@ TEST(BuildInstance, OppositePairsShareDepth) {
   // Level-symmetric sets come in +/- pairs; reversed DAGs have equal depth.
   const mesh::UnstructuredMesh m = test::small_tet_mesh(4, 4, 2);
   const Vec3 d = mesh::normalized({0.5, 0.5, 0.7});
-  const SweepDag a = build_sweep_dag(m, d).dag;
-  const SweepDag b = build_sweep_dag(m, -d).dag;
-  EXPECT_EQ(a.depth(), b.depth());
+  const SweepInstance a(m.n_cells(), {build_sweep_dag(m, d).dag});
+  const SweepInstance b(m.n_cells(), {build_sweep_dag(m, -d).dag});
+  EXPECT_EQ(a.max_depth(), b.max_depth());
 }
 
 }  // namespace

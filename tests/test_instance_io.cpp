@@ -17,17 +17,15 @@ namespace {
 void expect_same_structure(const SweepInstance& a, const SweepInstance& b) {
   ASSERT_EQ(a.n_cells(), b.n_cells());
   ASSERT_EQ(a.n_directions(), b.n_directions());
-  for (std::size_t i = 0; i < a.n_directions(); ++i) {
-    const SweepDag& ga = a.dag(i);
-    const SweepDag& gb = b.dag(i);
-    ASSERT_EQ(ga.n_edges(), gb.n_edges()) << "direction " << i;
-    for (NodeId v = 0; v < ga.n_nodes(); ++v) {
-      const auto sa = ga.successors(v);
-      const auto sb = gb.successors(v);
-      EXPECT_EQ(std::multiset<NodeId>(sa.begin(), sa.end()),
-                std::multiset<NodeId>(sb.begin(), sb.end()))
-          << "direction " << i << " node " << v;
-    }
+  const TaskGraph& ga = a.task_graph();
+  const TaskGraph& gb = b.task_graph();
+  ASSERT_EQ(ga.n_edges(), gb.n_edges());
+  for (std::size_t t = 0; t < ga.n_tasks(); ++t) {
+    const auto sa = ga.successors(t);
+    const auto sb = gb.successors(t);
+    EXPECT_EQ(std::multiset<TaskGraph::Task>(sa.begin(), sa.end()),
+              std::multiset<TaskGraph::Task>(sb.begin(), sb.end()))
+        << "task " << t;
   }
 }
 
@@ -54,6 +52,23 @@ TEST(InstanceIo, RoundTripGeometricInstance) {
   save_instance(original, buffer);
   const SweepInstance loaded = load_instance(buffer);
   expect_same_structure(original, loaded);
+}
+
+// The saved bytes of a small fixed instance, captured before instances
+// dropped their per-direction DAGs: saving from the task graph must write
+// the same edge order, and an empty direction as a bare "0" line.
+TEST(InstanceIo, SaveInstanceBytesArePinned) {
+  using Edges = std::vector<std::pair<NodeId, NodeId>>;
+  std::vector<SweepDag> dags;
+  dags.emplace_back(5, Edges{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}});
+  dags.emplace_back(5, Edges{{4, 3}, {3, 1}, {3, 0}, {1, 0}, {2, 0}});
+  dags.emplace_back(5, Edges{});
+  const SweepInstance instance(5, std::move(dags), "golden pair");
+  EXPECT_EQ(saved_text(instance),
+            "sweepinst 2\nname 11 golden pair\n5 3\n"
+            "5\n0 1\n0 2\n1 3\n2 3\n3 4\n"
+            "5\n1 0\n2 0\n3 1\n3 0\n4 3\n"
+            "0\n");
 }
 
 // Regression (failed before the v2 format): a name containing whitespace was
@@ -123,6 +138,20 @@ TEST(InstanceIo, HostileEdgeCountAndEndpointsAreRejected) {
   // Hostile name length must not drive the allocation either.
   std::stringstream long_name("sweepinst 2\nname 4000000000 x\n3 1\n0\n");
   EXPECT_THROW(load_instance(long_name), std::runtime_error);
+
+  // Each count fits 32-bit offsets but their sum does not: rejected at the
+  // second count, before an edge of it is read, with a runtime_error rather
+  // than the invalid_argument TaskGraph::build would throw.
+  std::stringstream summed(
+      "sweepinst 2\nname 1 x\n3 2\n1\n0 1\n4294967294\n0 1\n");
+  try {
+    (void)load_instance(summed);
+    FAIL() << "a summed edge count past 32 bits was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("edge count too large"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(InstanceIo, RejectsBadInput) {
@@ -140,7 +169,8 @@ TEST(InstanceIo, RejectsBadInput) {
 
 // Regression (failed before): a cyclic direction loaded fine and only
 // failed later, in SweepDag::levels, with a logic_error ("graph has a
-// cycle") that callers treat as a bug rather than bad input.
+// cycle") that callers treat as a bug rather than bad input. The instance
+// constructor now computes the levels, so the loader checks first.
 TEST(InstanceIo, RejectsCyclicDirection) {
   // Direction 0 is a chain; direction 1 is the 3-cycle 0 -> 1 -> 2 -> 0.
   std::stringstream cyclic(

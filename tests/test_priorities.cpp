@@ -10,11 +10,12 @@
 namespace sweep::core {
 namespace {
 
+std::vector<dag::SweepDag> two_dags() {
+  return {test::figure1_dag(), test::make_dag(9, {{8, 7}, {7, 6}, {6, 5}})};
+}
+
 dag::SweepInstance two_dag_instance() {
-  std::vector<dag::SweepDag> dags;
-  dags.push_back(test::figure1_dag());
-  dags.push_back(test::make_dag(9, {{8, 7}, {7, 6}, {6, 5}}));
-  return dag::SweepInstance(9, std::move(dags), "two");
+  return dag::SweepInstance(9, two_dags(), "two");
 }
 
 TEST(RandomDelays, InRangeAndDeterministic) {
@@ -38,8 +39,9 @@ TEST(RandomDelays, CoversRange) {
 TEST(LevelPriorities, MatchDagLevels) {
   const auto inst = two_dag_instance();
   const auto prio = level_priorities(inst);
+  const std::vector<dag::SweepDag> dags = two_dags();
   for (DirectionId i = 0; i < 2; ++i) {
-    const auto levels = inst.dag(i).levels();
+    const auto levels = dags[i].levels();
     for (CellId v = 0; v < 9; ++v) {
       EXPECT_EQ(prio[task_id(v, i, 9)], levels[v]);
     }

@@ -119,7 +119,7 @@ TEST(PrioritiesParallel, InstanceCountCacheMatchesDagLevel) {
   const auto inst = mesh_instance();
   for (std::size_t i = 0; i < inst.n_directions(); ++i) {
     const auto& cached = inst.exact_descendant_counts(i);
-    EXPECT_EQ(cached, dag::exact_descendant_counts(inst.dag(i))) << "dir " << i;
+    EXPECT_EQ(cached, dag::exact_descendant_counts(inst, i)) << "dir " << i;
     EXPECT_EQ(cached.data(), inst.exact_descendant_counts(i).data());
   }
 }

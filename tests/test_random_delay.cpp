@@ -85,8 +85,12 @@ TEST(RandomDelay, Lemma2FewCopiesPerLayer) {
   const std::size_t n = 400;
   const std::size_t k = 32;
   const auto inst = dag::random_instance(n, k, 12, 2.0, 44);
+  const auto flat_levels = inst.task_graph().levels();
   std::vector<std::vector<std::uint32_t>> levels;
-  for (DirectionId i = 0; i < k; ++i) levels.push_back(inst.dag(i).levels());
+  for (DirectionId i = 0; i < k; ++i) {
+    levels.emplace_back(flat_levels.begin() + i * n,
+                        flat_levels.begin() + (i + 1) * n);
+  }
   util::Rng rng(55);
   for (int trial = 0; trial < 5; ++trial) {
     const auto delays = random_delays(k, rng);

@@ -149,6 +149,23 @@ TEST(MachineSim, RejectsBadInput) {
   MachineModel bad;
   bad.task_time = 0.0;
   EXPECT_THROW(simulate_execution(inst, schedule, bad), std::invalid_argument);
+
+  // Same task count, other shape: a 4-cell x 6-direction schedule against a
+  // 6-cell x 4-direction instance would read past the schedule's
+  // 4-entry assignment.
+  const auto six_by_four = dag::random_instance(6, 4, 2, 1.0, 3);
+  const auto four_by_six = dag::random_instance(4, 6, 2, 1.0, 3);
+  const auto foreign =
+      core::list_schedule(four_by_six, Assignment{0, 1, 0, 1}, 2);
+  ASSERT_EQ(foreign.n_tasks(), six_by_four.n_tasks());
+  EXPECT_THROW(simulate_execution(six_by_four, foreign, MachineModel{}),
+               std::invalid_argument);
+
+  // An assignment entry >= m would index past the per-processor arrays.
+  core::Schedule out_of_range(4, 1, 2, Assignment{0, 5, 0, 1});
+  for (core::TaskId t = 0; t < 4; ++t) out_of_range.set_start(t, t);
+  EXPECT_THROW(simulate_execution(inst, out_of_range, MachineModel{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -108,6 +108,14 @@ TEST(WeightedScheduler, RejectsBadInput) {
   const std::vector<double> short_weights(3, 1.0);
   EXPECT_THROW(weighted_list_schedule(inst, Assignment(5, 0), 1, short_weights),
                std::invalid_argument);
+
+  // The lower bound reads one weight per cell and divides by m.
+  const auto six = dag::random_instance(6, 2, 3, 1.0, 12);
+  const std::vector<double> two_weights(2, 1.0);
+  EXPECT_THROW(weighted_lower_bound(six, 2, two_weights),
+               std::invalid_argument);
+  EXPECT_THROW(weighted_lower_bound(six, 0, std::vector<double>(6, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(WeightedScheduler, ValidatorCatchesCorruption) {
@@ -116,8 +124,18 @@ TEST(WeightedScheduler, ValidatorCatchesCorruption) {
   WeightedSchedule schedule =
       weighted_list_schedule(inst, Assignment(5, 0), 1, weights);
   ASSERT_EQ(validate_weighted_schedule(inst, schedule, weights), "");
+  WeightedSchedule foreign = schedule;
   schedule.start[2] = schedule.start[1];  // overlap + precedence break
   EXPECT_NE(validate_weighted_schedule(inst, schedule, weights), "");
+
+  // An assignment naming a processor >= n_processors, or of the wrong
+  // size, is reported instead of indexing past the interval lists.
+  foreign.assignment[3] = 1;
+  EXPECT_EQ(validate_weighted_schedule(inst, foreign, weights),
+            "assignment names a processor >= n_processors");
+  foreign.assignment.pop_back();
+  EXPECT_EQ(validate_weighted_schedule(inst, foreign, weights),
+            "shape mismatch");
 }
 
 }  // namespace

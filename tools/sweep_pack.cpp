@@ -38,20 +38,20 @@ namespace {
 
 /// Union cell graph over all directions: one undirected edge per cell pair
 /// adjacent in ANY direction DAG (duplicates merged).
-sweep::partition::Graph union_cell_graph(const sweep::dag::SweepInstance& instance) {
+sweep::partition::Graph union_cell_graph(const sweep::dag::TaskGraph& graph) {
   using sweep::partition::VertexId;
   std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(instance.total_edges());
-  for (const sweep::dag::SweepDag& g : instance.dags()) {
-    for (sweep::dag::NodeId u = 0; u < g.n_nodes(); ++u) {
-      for (sweep::dag::NodeId v : g.successors(u)) {
-        pairs.emplace_back(std::min(u, v), std::max(u, v));
-      }
+  pairs.reserve(graph.n_edges());
+  for (std::size_t t = 0; t < graph.n_tasks(); ++t) {
+    const VertexId u = graph.cell(t);
+    for (const sweep::dag::TaskGraph::Task succ : graph.successors(t)) {
+      const VertexId v = graph.cell(succ);
+      pairs.emplace_back(std::min(u, v), std::max(u, v));
     }
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return {instance.n_cells(), pairs};
+  return {graph.n_cells(), pairs};
 }
 
 }  // namespace
