@@ -216,23 +216,6 @@ C1Cost comm_cost_c1(const dag::TaskGraph& tg, const Assignment& assignment,
   return cost;
 }
 
-C1Cost comm_cost_c1_reference(const dag::TaskGraph& tg,
-                              const Assignment& assignment) {
-  if (assignment.size() != tg.n_cells()) {
-    throw std::invalid_argument("comm_cost_c1: assignment size != n_cells");
-  }
-  const std::uint32_t* cell = tg.cells().data();
-  C1Cost cost;
-  cost.total_edges = tg.n_edges();
-  for (std::size_t t = 0; t < tg.n_tasks(); ++t) {
-    const ProcessorId p = assignment[cell[t]];
-    for (dag::TaskGraph::Task succ : tg.successors(t)) {
-      if (assignment[cell[succ]] != p) ++cost.cross_edges;
-    }
-  }
-  return cost;
-}
-
 C2Cost comm_cost_c2(const dag::TaskGraph& tg, const Schedule& schedule) {
   check_c2_schedule(tg, schedule);
   SWEEP_OBS_TIMER("comm.c2");

@@ -27,8 +27,9 @@
 // or loaded schedules do), takes a sort over packed 64-bit step*m+sender
 // records instead, which costs O(senders log senders) and never
 // O(makespan); the comm.c2.sorted_fallbacks counter counts those calls.
-// The *_reference twins preserve the original serial implementations as
-// differential baselines.
+// comm_cost_c2_reference preserves the original hash-map C2 as the
+// differential oracle for both C2 paths and, through its cross-edge count,
+// for C1.
 
 #include <cstdint>
 
@@ -53,10 +54,6 @@ struct C1Cost {
 C1Cost comm_cost_c1(const dag::TaskGraph& graph, const Assignment& assignment,
                     std::size_t jobs = 0);
 
-/// Preserved serial single-loop C1 (differential baseline).
-C1Cost comm_cost_c1_reference(const dag::TaskGraph& graph,
-                              const Assignment& assignment);
-
 struct C2Cost {
   std::size_t total_delay = 0;       ///< sum over steps of max per-proc sends
   std::size_t max_step_degree = 0;   ///< worst single round
@@ -74,7 +71,7 @@ struct C2Cost {
 /// key space (a schedule that large is malformed, not merely expensive).
 C2Cost comm_cost_c2(const dag::TaskGraph& graph, const Schedule& schedule);
 
-/// Preserved unordered_map implementation (differential baseline). It
+/// Preserved unordered_map implementation (differential oracle). It
 /// allocates an O(makespan) dense reduction array whatever the horizon
 /// (comm_cost_c2 bounds its dense scratch by the task count and sorts
 /// instead past that), so only feed it schedules with modest horizons.

@@ -13,17 +13,6 @@
 namespace sweep::core {
 namespace {
 
-/// Fills direction i's slice of a descendant-priority vector from its
-/// counts; shared by the parallel path and the serial reference.
-void fill_descendant_slice(const std::vector<double>& counts, std::size_t n,
-                           DirectionId i, std::vector<std::int64_t>& out) {
-  for (CellId v = 0; v < n; ++v) {
-    // Higher descendant count runs first -> negate for the min-first engine.
-    out[task_id(v, i, n)] =
-        -static_cast<std::int64_t>(std::llround(counts[v]));
-  }
-}
-
 /// b-level of every cell of direction i (nodes on its longest path to a
 /// sink; sinks have 1), by one backward walk of its topological order.
 std::vector<std::uint32_t> b_levels(const dag::TaskGraph& g, DirectionId i,
@@ -41,8 +30,7 @@ std::vector<std::uint32_t> b_levels(const dag::TaskGraph& g, DirectionId i,
   return blevel;
 }
 
-/// Direction i's DFDS priority slice (off-processor-children rule); shared
-/// by the parallel path and the serial reference.
+/// Direction i's DFDS priority slice (off-processor-children rule).
 void fill_dfds_slice(const dag::TaskGraph& g, const Assignment& assignment,
                      DirectionId i, std::vector<std::int64_t>& out) {
   const std::size_t n = g.n_cells();
@@ -77,17 +65,6 @@ void fill_dfds_slice(const dag::TaskGraph& g, const Assignment& assignment,
   }
   for (CellId v = 0; v < n; ++v) {
     out[task_id(v, i, n)] = -prio[v];  // higher preferred
-  }
-}
-
-void fill_blevel_slice(const dag::TaskGraph& g, DirectionId i,
-                       std::vector<std::int64_t>& out) {
-  const std::size_t n = g.n_cells();
-  const std::vector<std::uint32_t> blevel =
-      b_levels(g, i, dag::topological_order(g, i));
-  for (CellId v = 0; v < n; ++v) {
-    // Deeper remaining path runs first -> negate for the min-first engine.
-    out[task_id(v, i, n)] = -static_cast<std::int64_t>(blevel[v]);
   }
 }
 
@@ -131,25 +108,6 @@ std::vector<std::int64_t> random_delay_priorities(
   return priorities;
 }
 
-std::vector<std::int64_t> random_delay_priorities_reference(
-    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays) {
-  if (delays.size() != graph.n_directions()) {
-    throw std::invalid_argument("random_delay_priorities: delays size != k");
-  }
-  const std::size_t n = graph.n_cells();
-  const std::size_t k = graph.n_directions();
-  const std::span<const std::uint32_t> level = graph.levels();
-  std::vector<std::int64_t> priorities(n * k);
-  for (DirectionId i = 0; i < k; ++i) {
-    const auto delay = static_cast<std::int64_t>(delays[i]);
-    const std::size_t base = static_cast<std::size_t>(i) * n;
-    for (std::size_t v = 0; v < n; ++v) {
-      priorities[base + v] = static_cast<std::int64_t>(level[base + v]) + delay;
-    }
-  }
-  return priorities;
-}
-
 std::vector<std::int64_t> descendant_priorities(
     const dag::SweepInstance& instance, util::Rng& rng, std::size_t jobs) {
   SWEEP_OBS_SPAN_ARGS("priorities.descendant", "k",
@@ -170,7 +128,7 @@ std::vector<std::int64_t> descendant_priorities(
           // the instance-level cache: the figure harnesses rebuild these
           // priorities once per trial and pay for the transitive closure
           // only on the first call. The stream draw above is still
-          // consumed, keeping rng state identical to the reference.
+          // consumed, so the caller's rng advances alike on both paths.
           const std::vector<std::uint64_t>& counts =
               instance.exact_descendant_counts(i);
           for (CellId v = 0; v < n; ++v) {
@@ -181,48 +139,33 @@ std::vector<std::int64_t> descendant_priorities(
           util::Rng dir_rng = util::Rng::for_stream(base, i);
           const std::vector<double> counts =
               dag::estimated_descendant_counts(instance, i, dir_rng);
-          fill_descendant_slice(counts, n, static_cast<DirectionId>(i),
-                                priorities);
+          for (CellId v = 0; v < n; ++v) {
+            priorities[task_id(v, static_cast<DirectionId>(i), n)] =
+                -static_cast<std::int64_t>(std::llround(counts[v]));
+          }
         }
       },
       jobs);
   return priorities;
 }
 
-std::vector<std::int64_t> descendant_priorities_reference(
-    const dag::SweepInstance& instance, util::Rng& rng) {
-  const std::size_t n = instance.n_cells();
-  const std::size_t k = instance.n_directions();
-  const std::uint64_t base = rng();  // same split as the parallel path
-  std::vector<std::int64_t> priorities(n * k);
-  for (DirectionId i = 0; i < k; ++i) {
-    util::Rng dir_rng = util::Rng::for_stream(base, i);
-    const std::vector<double> counts =
-        dag::descendant_counts_reference(instance, i, dir_rng);
-    fill_descendant_slice(counts, n, i, priorities);
-  }
-  return priorities;
-}
-
 std::vector<std::int64_t> blevel_priorities(const dag::TaskGraph& graph,
                                             std::size_t jobs) {
   SWEEP_OBS_TIMER("priorities.blevel");
+  const std::size_t n = graph.n_cells();
   std::vector<std::int64_t> priorities(graph.n_tasks());
   util::parallel_for(
       graph.n_directions(),
       [&](std::size_t i) {
-        fill_blevel_slice(graph, static_cast<DirectionId>(i), priorities);
+        const auto dir = static_cast<DirectionId>(i);
+        const std::vector<std::uint32_t> blevel =
+            b_levels(graph, dir, dag::topological_order(graph, i));
+        // Deeper remaining path runs first -> negate for the min-first engine.
+        for (CellId v = 0; v < n; ++v) {
+          priorities[task_id(v, dir, n)] = -static_cast<std::int64_t>(blevel[v]);
+        }
       },
       jobs);
-  return priorities;
-}
-
-std::vector<std::int64_t> blevel_priorities_reference(
-    const dag::TaskGraph& graph) {
-  std::vector<std::int64_t> priorities(graph.n_tasks());
-  for (DirectionId i = 0; i < graph.n_directions(); ++i) {
-    fill_blevel_slice(graph, i, priorities);
-  }
   return priorities;
 }
 
@@ -241,18 +184,6 @@ std::vector<std::int64_t> dfds_priorities(const dag::TaskGraph& graph,
                         priorities);
       },
       jobs);
-  return priorities;
-}
-
-std::vector<std::int64_t> dfds_priorities_reference(
-    const dag::TaskGraph& graph, const Assignment& assignment) {
-  if (assignment.size() != graph.n_cells()) {
-    throw std::invalid_argument("dfds_priorities: assignment size != n_cells");
-  }
-  std::vector<std::int64_t> priorities(graph.n_tasks());
-  for (DirectionId i = 0; i < graph.n_directions(); ++i) {
-    fill_dfds_slice(graph, assignment, i, priorities);
-  }
   return priorities;
 }
 

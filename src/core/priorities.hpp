@@ -10,8 +10,8 @@
 // its own util::Rng::for_stream(base, i) stream, where `base` is a single
 // draw from the caller's Rng. Output is therefore byte-identical for any
 // `jobs` (0 = all cores, 1 = serial) and independent of direction iteration
-// order. The `*_reference` twins are preserved plain serial loops used by
-// the tests and the fuzz oracle bank as differential baselines.
+// order; the tests and the fuzz oracle bank compare every width with
+// jobs = 1 of the same function.
 
 #include <cstdint>
 #include <vector>
@@ -38,35 +38,21 @@ std::vector<std::int64_t> random_delay_priorities(
     const dag::TaskGraph& graph, const std::vector<TimeStep>& delays,
     std::size_t jobs = 0);
 
-/// Preserved serial twin of random_delay_priorities.
-std::vector<std::int64_t> random_delay_priorities_reference(
-    const dag::TaskGraph& graph, const std::vector<TimeStep>& delays);
-
 /// Descendant priorities (Plimpton et al. [15]): more descendants run first.
-/// Exact (tiled) counts for small DAGs, Cohen-estimated for large ones.
-/// Consumes exactly one draw from `rng` to derive the per-direction streams,
-/// regardless of k or of which directions take the estimator path. Takes an
+/// Up to dag::kDefaultExactThreshold cells, direction i's slice is its
+/// negated exact counts; above it, the negated, rounded Cohen estimate from
+/// util::Rng::for_stream(base, i), where `base` is one draw from `rng`.
+/// That one draw is taken on both paths, regardless of k. Takes an
 /// instance, not a graph: the exact counts come from its per-direction
 /// cache (SweepInstance::exact_descendant_counts).
 std::vector<std::int64_t> descendant_priorities(
     const dag::SweepInstance& instance, util::Rng& rng, std::size_t jobs = 0);
-
-/// Preserved serial twin of descendant_priorities: identical stream
-/// derivation, but plain loop + reference (naive bitset) exact counter,
-/// recomputed on every call. Takes an instance, as the function it checks
-/// does, so every call site can swap one for the other.
-std::vector<std::int64_t> descendant_priorities_reference(
-    const dag::SweepInstance& instance, util::Rng& rng);
 
 /// b-level (critical-path-first) priorities: tasks with the longest
 /// remaining path to a sink run first. A standard DAG-scheduling heuristic
 /// (the backbone of DFDS's tie-breaking) included as an extra comparator.
 std::vector<std::int64_t> blevel_priorities(const dag::TaskGraph& graph,
                                             std::size_t jobs = 0);
-
-/// Preserved serial twin of blevel_priorities.
-std::vector<std::int64_t> blevel_priorities_reference(
-    const dag::TaskGraph& graph);
 
 /// DFDS priorities (Pautz [14], as described in Section 5.2). Priorities
 /// depend on the processor assignment through "off-processor children":
@@ -78,10 +64,6 @@ std::vector<std::int64_t> blevel_priorities_reference(
 std::vector<std::int64_t> dfds_priorities(const dag::TaskGraph& graph,
                                           const Assignment& assignment,
                                           std::size_t jobs = 0);
-
-/// Preserved serial twin of dfds_priorities.
-std::vector<std::int64_t> dfds_priorities_reference(
-    const dag::TaskGraph& graph, const Assignment& assignment);
 
 /// Per-task release times from per-direction delays: task (v,i) may not
 /// start before X_i. This is how "random delays" are added to heuristics

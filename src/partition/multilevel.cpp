@@ -312,7 +312,7 @@ Partition multilevel_bisect(const Graph& graph, std::int64_t target0,
 // where the root is id 1 and node id's children are 2*id and 2*id+1 — no
 // state is threaded through the recursion, so sibling subproblems are
 // independent and can run as pool tasks while staying bit-identical to the
-// serial reference recursion.
+// serial recursion (jobs = 1).
 // ---------------------------------------------------------------------------
 
 struct Subgraph {
@@ -351,41 +351,6 @@ Subgraph extract(const Graph& graph, const std::vector<VertexId>& vertices) {
   return sub;
 }
 
-/// The original hash-map extraction, kept verbatim as the reference
-/// recursion's implementation. Produces exactly the same subgraph as
-/// extract() — vertices and edges are visited in the same order; only the
-/// id-lookup structure differs.
-Subgraph extract_reference(const Graph& graph,
-                           const std::vector<VertexId>& vertices) {
-  Subgraph sub;
-  sub.to_global = vertices;
-  std::unordered_map<VertexId, VertexId> to_local;
-  to_local.reserve(vertices.size());
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    to_local[vertices[i]] = static_cast<VertexId>(i);
-  }
-  std::vector<std::uint32_t> offsets(vertices.size() + 1, 0);
-  std::vector<VertexId> neighbors;
-  std::vector<std::int64_t> edge_weights;
-  std::vector<std::int64_t> vertex_weights(vertices.size());
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    const VertexId g = vertices[i];
-    vertex_weights[i] = graph.vertex_weight(g);
-    const auto nbrs = graph.neighbors(g);
-    const auto weights = graph.edge_weights(g);
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const auto it = to_local.find(nbrs[e]);
-      if (it == to_local.end()) continue;
-      neighbors.push_back(it->second);
-      edge_weights.push_back(weights[e]);
-    }
-    offsets[i + 1] = static_cast<std::uint32_t>(neighbors.size());
-  }
-  sub.graph = Graph(std::move(offsets), std::move(neighbors),
-                    std::move(edge_weights), std::move(vertex_weights));
-  return sub;
-}
-
 /// Don't spawn a pool task for subproblems below this many vertices: the
 /// submit + wake cost exceeds the bisection work (value is not tuned finely;
 /// determinism does not depend on it).
@@ -394,8 +359,7 @@ constexpr std::size_t kParallelBranchMinVertices = 512;
 void recursive_bisect(const Graph& graph, const std::vector<VertexId>& to_global,
                       std::size_t k, std::uint32_t first_block,
                       std::uint64_t node_id, const MultilevelOptions& options,
-                      Partition& global_part, bool parallel,
-                      bool reference_extract) {
+                      Partition& global_part, bool parallel) {
   if (k <= 1) {
     for (VertexId v : to_global) global_part[v] = first_block;
     return;
@@ -424,15 +388,14 @@ void recursive_bisect(const Graph& graph, const std::vector<VertexId>& to_global
   auto descend = [&](const std::vector<VertexId>& side, std::size_t kk,
                      std::uint32_t base, std::uint64_t child_id) {
     if (side.empty()) return;
-    Subgraph sub = reference_extract ? extract_reference(graph, side)
-                                     : extract(graph, side);
+    Subgraph sub = extract(graph, side);
     std::vector<VertexId> global_ids(side.size());
     for (std::size_t i = 0; i < side.size(); ++i) {
       global_ids[i] = to_global[side[i]];
     }
     sub.to_global = std::move(global_ids);
     recursive_bisect(sub.graph, sub.to_global, kk, base, child_id, options,
-                     global_part, parallel, reference_extract);
+                     global_part, parallel);
   };
 
   // The two branches touch disjoint global_part entries and only read the
@@ -477,25 +440,7 @@ Partition multilevel_partition(const Graph& graph,
   std::vector<VertexId> all(n);
   for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<VertexId>(i);
   recursive_bisect(graph, all, std::min(options.n_parts, n), 0, /*node_id=*/1,
-                   options, part, /*parallel=*/options.jobs != 1,
-                   /*reference_extract=*/false);
-  return part;
-}
-
-Partition multilevel_partition_reference(const Graph& graph,
-                                         const MultilevelOptions& options) {
-  if (options.n_parts == 0) {
-    throw std::invalid_argument(
-        "multilevel_partition_reference: n_parts must be >= 1");
-  }
-  const std::size_t n = graph.n_vertices();
-  Partition part(n, 0);
-  if (options.n_parts == 1 || n == 0) return part;
-  std::vector<VertexId> all(n);
-  for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<VertexId>(i);
-  recursive_bisect(graph, all, std::min(options.n_parts, n), 0, /*node_id=*/1,
-                   options, part, /*parallel=*/false,
-                   /*reference_extract=*/true);
+                   options, part, /*parallel=*/options.jobs != 1);
   return part;
 }
 

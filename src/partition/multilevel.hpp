@@ -16,8 +16,7 @@
 // 2*id and 2*id+1) draws from util::split_seed(options.seed, id) — instead
 // of threading one Rng through the recursion. Within a subproblem the
 // coarsening/matching visit order is fixed by that stream, so cuts are
-// bit-identical to multilevel_partition_reference (the preserved serial
-// recursion over the same primitives) for any `jobs`.
+// bit-identical for any `jobs`.
 
 #include <cstdint>
 
@@ -41,12 +40,6 @@ struct MultilevelOptions {
 /// running independent bisection branches on the global thread pool.
 Partition multilevel_partition(const Graph& graph,
                                const MultilevelOptions& options);
-
-/// Preserved serial recursion (same primitives, same per-subproblem seeds,
-/// original hash-map subgraph extraction); differential baseline for the
-/// tests. Bit-identical to multilevel_partition for every seed.
-Partition multilevel_partition_reference(const Graph& graph,
-                                         const MultilevelOptions& options);
 
 /// Convenience used by the paper's experiments: partition into
 /// ceil(n / block_size) blocks of ~block_size cells each.

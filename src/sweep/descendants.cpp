@@ -7,24 +7,21 @@
 
 namespace sweep::dag {
 
+/// Columns per strip, in 64-bit words: 8 words = 512 columns = one 64-byte
+/// cache line of scratch per node.
+constexpr std::size_t kTileWords = 8;
+
 std::vector<std::uint64_t> exact_descendant_counts(const TaskGraph& graph,
-                                                   std::size_t direction,
-                                                   std::size_t max_nodes,
-                                                   TiledCountStats* stats) {
-  const std::size_t n = graph.n_cells();
-  if (n > max_nodes) {
-    throw std::invalid_argument(
-        "exact_descendant_counts: DAG too large; use the estimator");
+                                                   std::size_t direction) {
+  if (direction >= graph.n_directions()) {
+    throw std::out_of_range("exact_descendant_counts: direction out of range");
   }
   SWEEP_OBS_TIMER("descendants.exact_tiled");
+  const std::size_t n = graph.n_cells();
   std::vector<std::uint64_t> counts(n, 0);
+  if (n == 0) return counts;
   constexpr std::size_t kTileColumns = kTileWords * 64;
   const std::size_t strips = (n + kTileColumns - 1) / kTileColumns;
-  if (stats != nullptr) {
-    stats->strips = strips;
-    stats->scratch_bytes_per_worker = n * kTileWords * sizeof(std::uint64_t);
-  }
-  if (n == 0) return counts;
   const std::vector<NodeId> order = topological_order(graph, direction);
   const std::size_t base = direction * n;
 
@@ -57,12 +54,8 @@ std::vector<std::uint64_t> exact_descendant_counts(const TaskGraph& graph,
 }
 
 std::vector<std::uint64_t> exact_descendant_counts_reference(
-    const TaskGraph& graph, std::size_t direction, std::size_t max_nodes) {
+    const TaskGraph& graph, std::size_t direction) {
   const std::size_t n = graph.n_cells();
-  if (n > max_nodes) {
-    throw std::invalid_argument(
-        "exact_descendant_counts: DAG too large; use the estimator");
-  }
   const std::size_t words = (n + 63) / 64;
   // reach[v] = bitset of nodes reachable from v (including v).
   std::vector<std::uint64_t> reach(n * words, 0);
@@ -119,29 +112,6 @@ std::vector<double> estimated_descendant_counts(const TaskGraph& graph,
     counts[v] = std::max(0.0, reach - 1.0);
   }
   return counts;
-}
-
-std::vector<double> descendant_counts(const TaskGraph& graph,
-                                      std::size_t direction, util::Rng& rng,
-                                      std::size_t exact_threshold) {
-  if (graph.n_cells() <= exact_threshold) {
-    const auto exact =
-        exact_descendant_counts(graph, direction, exact_threshold);
-    return {exact.begin(), exact.end()};
-  }
-  return estimated_descendant_counts(graph, direction, rng);
-}
-
-std::vector<double> descendant_counts_reference(const TaskGraph& graph,
-                                                std::size_t direction,
-                                                util::Rng& rng,
-                                                std::size_t exact_threshold) {
-  if (graph.n_cells() <= exact_threshold) {
-    const auto exact =
-        exact_descendant_counts_reference(graph, direction, exact_threshold);
-    return {exact.begin(), exact.end()};
-  }
-  return estimated_descendant_counts(graph, direction, rng);
 }
 
 }  // namespace sweep::dag

@@ -54,9 +54,14 @@ SweepInstance& SweepInstance::operator=(const SweepInstance& other) {
 
 const std::vector<std::uint64_t>& SweepInstance::exact_descendant_counts(
     std::size_t i) const {
+  // Checked before call_once: once[i] past the end is out of bounds.
+  if (i >= n_directions()) {
+    throw std::out_of_range(
+        "SweepInstance::exact_descendant_counts: direction out of range");
+  }
   std::call_once(cache_->once[i], [this, i] {
     SWEEP_OBS_SCOPE("dag.descendant_counts.build");
-    cache_->counts[i] = dag::exact_descendant_counts(*graph_, i, n_cells());
+    cache_->counts[i] = dag::exact_descendant_counts(*graph_, i);
     SWEEP_OBS_COUNTER_ADD("dag.descendant_counts.builds", 1);
   });
   return cache_->counts[i];

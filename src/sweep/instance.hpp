@@ -59,7 +59,8 @@ class SweepInstance {
   /// rebuild after the first reuses this cache. Computed under a per-
   /// direction once_flag; safe to call concurrently. Unconditional — the
   /// caller gates on DAG size (dag::kDefaultExactThreshold); footprint is
-  /// 8 bytes per task for the directions actually requested.
+  /// 8 bytes per task for the directions actually requested. Throws
+  /// std::out_of_range if i >= n_directions().
   [[nodiscard]] const std::vector<std::uint64_t>& exact_descendant_counts(
       std::size_t i) const;
 

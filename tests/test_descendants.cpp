@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "sweep/random_dag.hpp"
 #include "test_helpers.hpp"
@@ -42,11 +44,24 @@ TEST(ExactDescendants, Chain) {
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(sorted[i], i);
 }
 
-TEST(ExactDescendants, RefusesHugeGraphs) {
-  const SweepInstance g = test::one_direction(test::make_dag(100, {{0, 1}}));
-  EXPECT_THROW(exact_descendant_counts(g, 0, 50), std::invalid_argument);
-  EXPECT_THROW(exact_descendant_counts_reference(g, 0, 50),
-               std::invalid_argument);
+TEST(ExactDescendants, RejectOutOfRangeDirections) {
+  // Both counters and the instance's cache throw before touching any
+  // per-direction state, with cells and without.
+  for (const std::size_t n : {0u, 4u}) {
+    std::vector<SweepDag> dags;
+    dags.push_back(test::make_dag(n, {}));
+    dags.push_back(test::make_dag(n, {}));
+    const SweepInstance g(n, std::move(dags));
+    EXPECT_THROW((void)g.exact_descendant_counts(2), std::out_of_range)
+        << "n=" << n;
+    EXPECT_THROW((void)g.exact_descendant_counts(5), std::out_of_range)
+        << "n=" << n;
+    EXPECT_THROW(exact_descendant_counts(g, 5), std::out_of_range)
+        << "n=" << n;
+    EXPECT_THROW(exact_descendant_counts_reference(g, 5), std::out_of_range)
+        << "n=" << n;
+    EXPECT_EQ(g.exact_descendant_counts(1).size(), n);
+  }
 }
 
 TEST(ExactDescendants, TiledMatchesReferenceOnRandomDags) {
@@ -63,27 +78,27 @@ TEST(ExactDescendants, TiledMatchesReferenceOnRandomDags) {
   }
 }
 
-TEST(ExactDescendants, TiledStatsReportBoundedScratch) {
-  // The tiled counter's working set is kTileWords words (one cache line)
-  // per node, reused across strips: n * tile_width / 8 = 64n bytes,
-  // independent of the strip count (DESIGN.md §11).
+TEST(ExactDescendants, TiledSpansSeveralStrips) {
+  // 1500 nodes take three 512-column strips, so strip reuse is exercised.
   util::Rng rng(4);
   const SweepInstance g =
       test::one_direction(random_layered_dag(1500, 12, 2.0, rng));
-  TiledCountStats stats;
-  const auto tiled = exact_descendant_counts(g, 0, 1u << 14, &stats);
-  EXPECT_EQ(stats.strips, (1500 + kTileWords * 64 - 1) / (kTileWords * 64));
-  EXPECT_GE(stats.strips, 2u);  // actually exercises strip reuse
-  EXPECT_EQ(stats.scratch_bytes_per_worker,
-            1500 * kTileWords * sizeof(std::uint64_t));
+#if !defined(SWEEP_OBS_DISABLE)
+  obs::MetricsRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
+#endif
+  const auto tiled = exact_descendant_counts(g, 0);
+#if !defined(SWEEP_OBS_DISABLE)
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(test::counter_value_of("descendants.tiled.strips"), 3u);
+#endif
   EXPECT_EQ(tiled, exact_descendant_counts_reference(g, 0));
 }
 
 TEST(ExactDescendants, TiledEmptyDag) {
   const SweepInstance g = test::one_direction(test::make_dag(0, {}));
-  TiledCountStats stats;
-  EXPECT_TRUE(exact_descendant_counts(g, 0, 1u << 14, &stats).empty());
-  EXPECT_EQ(stats.strips, 0u);
+  EXPECT_TRUE(exact_descendant_counts(g, 0).empty());
+  EXPECT_TRUE(exact_descendant_counts_reference(g, 0).empty());
 }
 
 TEST(EstimatedDescendants, RejectsTooFewRounds) {
@@ -144,25 +159,6 @@ TEST(EstimatedDescendants, PreservesCoarseRanking) {
   std::set_intersection(true_top.begin(), true_top.end(), est_top.begin(),
                         est_top.end(), std::back_inserter(overlap));
   EXPECT_GE(overlap.size(), true_top.size() / 2);
-}
-
-TEST(DescendantCounts, AdaptiveSwitchesImplementations) {
-  util::Rng rng(7);
-  const SweepInstance small =
-      test::one_direction(random_layered_dag(100, 10, 2.0, rng));
-  util::Rng rng2(8);
-  const auto adaptive = descendant_counts(small, 0, rng2);
-  const auto exact = exact_descendant_counts(small, 0);
-  for (std::size_t v = 0; v < small.n_cells(); ++v) {
-    EXPECT_DOUBLE_EQ(adaptive[v], static_cast<double>(exact[v]));
-  }
-  // Force the estimator path with a tiny threshold.
-  util::Rng rng3(9);
-  const auto estimated =
-      descendant_counts(small, 0, rng3, /*exact_threshold=*/10);
-  bool any_nonzero = false;
-  for (double c : estimated) any_nonzero = any_nonzero || c > 0.0;
-  EXPECT_TRUE(any_nonzero);
 }
 
 }  // namespace

@@ -74,20 +74,31 @@ TEST_P(KWaySweep, BalancedNonEmptyAndBetterThanRandom) {
 INSTANTIATE_TEST_SUITE_P(PartCounts, KWaySweep,
                          ::testing::Values(2, 3, 4, 7, 8, 16, 31, 64));
 
-TEST(Multilevel, ParallelBitIdenticalToReference) {
-  // The pool-task recursion must produce the same cuts as the preserved
-  // serial recursion for every seed and fan-out width: per-subproblem
+TEST(Multilevel, ParallelBitIdenticalToSerial) {
+  // The pool-task recursion must produce the same cuts as the serial
+  // recursion (jobs = 1) for every seed and fan-out width: per-subproblem
   // seeding by bisection-tree node id makes branch order irrelevant.
   const Graph g = mesh_graph();
   for (const std::uint64_t seed : {3u, 11u, 23u}) {
     MultilevelOptions opts;
     opts.n_parts = 16;
     opts.seed = seed;
-    const Partition reference = multilevel_partition_reference(g, opts);
-    for (const std::size_t jobs : {0u, 1u, 2u, 8u}) {
+    opts.jobs = 1;
+    const Partition serial = multilevel_partition(g, opts);
+    for (const std::size_t jobs : {0u, 2u, 8u}) {
       opts.jobs = jobs;
-      EXPECT_EQ(multilevel_partition(g, opts), reference)
+#if !defined(SWEEP_OBS_DISABLE)
+      // The comparison means something only if a branch ran on the pool.
+      obs::MetricsRegistry::instance().reset();
+      obs::set_metrics_enabled(true);
+#endif
+      EXPECT_EQ(multilevel_partition(g, opts), serial)
           << "seed=" << seed << " jobs=" << jobs;
+#if !defined(SWEEP_OBS_DISABLE)
+      obs::set_metrics_enabled(false);
+      EXPECT_GE(test::counter_value_of("partition.parallel_branches"), 1u)
+          << "seed=" << seed << " jobs=" << jobs;
+#endif
     }
   }
 }

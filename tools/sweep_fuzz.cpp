@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
     if (!replay_path.empty()) return replay(replay_path);
 
     fuzz::CampaignOptions options;
-    options.trials = static_cast<std::size_t>(cli.integer("trials"));
+    options.trials = cli.non_negative("trials");
     options.seed = static_cast<std::uint64_t>(cli.integer("seed"));
-    options.jobs = static_cast<std::size_t>(cli.integer("jobs"));
+    options.jobs = cli.non_negative("jobs");
     options.shrink = !cli.flag("no-shrink");
     options.repro_dir = cli.str("repro-dir");
     return campaign(options);
