@@ -424,6 +424,57 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
   // widths, and the tiled descendant counter and the exact-path descendant
   // priorities match the naive closure.
   check("preproc_identity", preproc_identity);
+
+  // Oracle 10: the b-level and DFDS rules themselves, task by task. A
+  // b-level is 1 plus the largest b-level among the task's successors (1 at
+  // a sink). A DFDS priority is C plus the largest b-level of its
+  // off-processor children when it has any, else its largest child
+  // priority minus 1 when that is positive, else 0, with C the direction's
+  // depth (its largest b-level). Both builders store the values negated.
+  check("priority_rules", [&] {
+    const auto blevel = core::blevel_priorities(*instance, 1);
+    const auto dfds = core::dfds_priorities(*instance, assignment, 1);
+    const dag::TaskGraph& graph = instance->task_graph();
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t base = i * n;
+      std::int64_t depth = 0;
+      for (std::size_t v = 0; v < n; ++v) {
+        depth = std::max(depth, -blevel[base + v]);
+      }
+      for (std::size_t v = 0; v < n; ++v) {
+        const std::size_t t = base + v;
+        std::int64_t below = 0;
+        std::int64_t offproc_blevel = -1;
+        std::int64_t child_prio = -1;
+        for (const dag::TaskGraph::Task succ : graph.successors(t)) {
+          below = std::max(below, -blevel[succ]);
+          if (assignment[succ - base] != assignment[v]) {
+            offproc_blevel = std::max(offproc_blevel, -blevel[succ]);
+          }
+          child_prio = std::max(child_prio, -dfds[succ]);
+        }
+        if (-blevel[t] != below + 1) {
+          fail("priority_rules",
+               "b-level " + std::to_string(-blevel[t]) + " at task " +
+                   std::to_string(t) + " is not 1 + its successors' largest (" +
+                   std::to_string(below) + ")");
+          return;
+        }
+        const std::int64_t expected = offproc_blevel >= 0 ? depth + offproc_blevel
+                                      : child_prio > 0    ? child_prio - 1
+                                                          : 0;
+        if (-dfds[t] != expected) {
+          fail("priority_rules",
+               "DFDS priority " + std::to_string(-dfds[t]) + " at task " +
+                   std::to_string(t) +
+                   " differs from its definition with C = depth = " +
+                   std::to_string(depth) + " (" + std::to_string(expected) +
+                   ")");
+          return;
+        }
+      }
+    }
+  });
 }
 
 /// Hostile channel 1: an assignment entry == m fed to every scheduler entry
@@ -562,6 +613,8 @@ void check_cli_garbage(const Scenario& s, OracleReport& report) {
     report.violations.push_back({kName, msg + " (value '" + garbage + "')"});
   };
 
+  // parse_quiet, not parse: a probe's rejection is its result, not a line
+  // on the campaign's stderr.
   {
     util::CliParser cli("sweep_fuzz_probe", "hostile cli probe");
     cli.add_option("procs", "8", "processors");
@@ -570,7 +623,7 @@ void check_cli_garbage(const Scenario& s, OracleReport& report) {
     const std::string arg = "--procs=" + garbage;
     const char* argv[] = {"sweep_fuzz_probe", arg.c_str()};
     ++report.checks_run;
-    if (cli.parse(2, argv)) {
+    if (!cli.parse_quiet(2, argv)) {
       bool threw = false;
       try {
         (void)cli.integer("procs");
@@ -593,7 +646,7 @@ void check_cli_garbage(const Scenario& s, OracleReport& report) {
     const std::string arg = "--list=1," + garbage;
     const char* argv[] = {"sweep_fuzz_probe", arg.c_str()};
     ++report.checks_run;
-    if (cli.parse(2, argv)) {
+    if (!cli.parse_quiet(2, argv)) {
       bool threw = false;
       try {
         (void)cli.int_list("list");
@@ -608,8 +661,12 @@ void check_cli_garbage(const Scenario& s, OracleReport& report) {
     cli.add_flag("verbose", "verbosity");
     const char* argv[] = {"sweep_fuzz_probe", "--verbose=yes"};
     ++report.checks_run;
-    if (cli.parse(2, argv)) {
+    const auto rejection = cli.parse_quiet(2, argv);
+    if (!rejection) {
       fail("a flag with a non-boolean inline value parsed successfully");
+    } else if (rejection->message.find("'--verbose'") == std::string::npos) {
+      fail("the rejection of --verbose=yes does not name the flag: " +
+           rejection->message);
     }
   }
 }

@@ -16,7 +16,9 @@
 //   - persistence: save -> load -> re-validate round trip, with C1/C2
 //     recomputed on the reloaded schedule,
 //   - harness determinism: bench::parallel_trials serial vs threaded must be
-//     byte-identical.
+//     byte-identical,
+//   - priority rules: every task's b-level and DFDS priority against their
+//     definitions, given its successors' values.
 // Hostile scenarios invert the expectation: malformed inputs (out-of-range
 // assignments, corrupted schedule files, garbage CLI values) must be
 // rejected with a clean throw, never silently accepted.

@@ -21,35 +21,58 @@ std::vector<std::uint64_t> exact_descendant_counts(const TaskGraph& graph,
   std::vector<std::uint64_t> counts(n, 0);
   if (n == 0) return counts;
   constexpr std::size_t kTileColumns = kTileWords * 64;
-  const std::size_t strips = (n + kTileColumns - 1) / kTileColumns;
   const std::vector<NodeId> order = topological_order(graph, direction);
   const std::size_t base = direction * n;
 
-  // tile[v] = the kTileColumns columns of reach-row v covered by the
-  // current strip: one cache line per node, reused across strips, so the
-  // per-edge OR below never leaves L2 no matter how large n^2/8 gets.
-  std::vector<std::uint64_t> tile(n * kTileWords);
-  for (std::size_t strip = 0; strip < strips; ++strip) {
-    const std::size_t column_base = strip * kTileColumns;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId v = *it;
-      std::uint64_t* row = tile.data() + static_cast<std::size_t>(v) * kTileWords;
+  // Relabel the direction's successor lists into position space: position p
+  // is cell order[p], and every successor of p sits at a larger position.
+  std::vector<std::uint32_t> position(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    position[order[p]] = static_cast<std::uint32_t>(p);
+  }
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<std::uint32_t> targets;
+  targets.reserve(graph.offsets()[base + n] - graph.offsets()[base]);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (const TaskGraph::Task s : graph.successors(base + order[p])) {
+      targets.push_back(position[s - base]);
+    }
+    offsets[p + 1] = static_cast<std::uint32_t>(targets.size());
+  }
+
+  // tile[p] = the kTileColumns columns of reach-row p covered by the
+  // current strip: one cache line per position, reused across strips, so
+  // the per-edge OR below never leaves L2 no matter how large n^2/8 gets.
+  // Row p reaches only positions >= p, so strip [c0, c1) walks rows c1 - 1
+  // down to 0. Strips run in increasing order, so the rows at c1 and past
+  // it are still zero from this initialisation, which is their true value
+  // in the strip: a successor there contributes nothing.
+  std::vector<std::uint64_t> tile(n * kTileWords, 0);
+  std::vector<std::uint64_t> reach(n, 0);  // per position, self included
+  std::size_t strips = 0;
+  std::size_t rows = 0;
+  for (std::size_t c0 = 0; c0 < n; c0 += kTileColumns) {
+    const std::size_t c1 = std::min(n, c0 + kTileColumns);
+    for (std::size_t p = c1; p-- > 0;) {
+      std::uint64_t* row = tile.data() + p * kTileWords;
       for (std::size_t j = 0; j < kTileWords; ++j) row[j] = 0;
-      const std::size_t local = static_cast<std::size_t>(v) - column_base;
-      if (local < kTileColumns) row[local / 64] = 1ull << (local % 64);
-      for (const TaskGraph::Task s : graph.successors(base + v)) {
-        const std::uint64_t* srow = tile.data() + (s - base) * kTileWords;
+      if (p >= c0) row[(p - c0) / 64] = 1ull << ((p - c0) % 64);
+      for (std::uint32_t e = offsets[p]; e < offsets[p + 1]; ++e) {
+        const std::uint64_t* srow = tile.data() + targets[e] * kTileWords;
         for (std::size_t j = 0; j < kTileWords; ++j) row[j] |= srow[j];
       }
       std::uint64_t popcount = 0;
       for (std::size_t j = 0; j < kTileWords; ++j) {
         popcount += static_cast<std::uint64_t>(__builtin_popcountll(row[j]));
       }
-      counts[v] += popcount;
+      reach[p] += popcount;
     }
+    ++strips;
+    rows += c1;
   }
-  for (std::size_t v = 0; v < n; ++v) --counts[v];  // exclude v itself
+  for (std::size_t p = 0; p < n; ++p) counts[order[p]] = reach[p] - 1;
   SWEEP_OBS_COUNTER_ADD("descendants.tiled.strips", strips);
+  SWEEP_OBS_COUNTER_ADD("descendants.tiled.rows", rows);
   return counts;
 }
 

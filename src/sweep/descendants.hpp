@@ -6,13 +6,16 @@
 // bitsets. The naive formulation keeps the FULL n x n reachability matrix
 // resident (n^2/8 bytes) and streams whole rows through the OR loop — at
 // n = 8192 that is an 8 MiB working set that falls out of L2.
-// exact_descendant_counts instead processes the matrix in column strips of
-// 512 columns in reverse topological order (DESIGN.md §11): one cache line
-// (64 bytes) per node per strip, so the strip buffer, reused across strips,
-// holds 64n bytes regardless of n^2, the per-edge OR touches exactly one
-// scratch cache line, and the 8-word OR/popcount loops are branch-free and
-// vectorizable. The word-operation count is identical to the naive variant;
-// only the memory behaviour changes, so results are bit-identical to
+// exact_descendant_counts instead numbers the cells by position in
+// dag::topological_order and processes the matrix in column strips of 512
+// positions (DESIGN.md §11): one cache line (64 bytes) per node per strip,
+// so the strip buffer, reused across strips, holds 64n bytes regardless of
+// n^2, and the per-edge OR touches exactly one scratch cache line. A row
+// reaches only later positions, so strip [c0, c1) walks only the rows below
+// c1: about half the row visits of a full walk. The 8-word OR loop is
+// branch-free; each popcount is one POPCNT instruction when the build
+// targets it (the top-level CMakeLists adds -mpopcnt on x86-64), and a call
+// into libgcc's software popcount otherwise. Results are bit-identical to
 // exact_descendant_counts_reference (the naive full-matrix closure, kept as
 // the tiled counter's differential oracle).
 //
@@ -42,6 +45,8 @@ inline constexpr std::size_t kDefaultExactThreshold = 1u << 13;
 /// `direction`, computed in 512-column strips with a bounded working set
 /// (see file comment). Throws std::out_of_range if `direction` >=
 /// graph.n_directions(). The work is Theta(n*m/64) whatever the tiling.
+/// Obs counters: `descendants.tiled.strips` (strips walked) and
+/// `descendants.tiled.rows` (rows visited, summed over strips).
 std::vector<std::uint64_t> exact_descendant_counts(const TaskGraph& graph,
                                                    std::size_t direction);
 

@@ -62,17 +62,23 @@ void CliParser::add_option(const std::string& name,
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
+  const std::optional<Rejection> rejection = parse_quiet(argc, argv);
+  if (!rejection) return true;
+  if (!rejection->message.empty()) {
+    std::fprintf(stderr, "%s\n", rejection->message.c_str());
+  }
+  if (rejection->show_help) print_help();
+  return false;
+}
+
+std::optional<CliParser::Rejection> CliParser::parse_quiet(
+    int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return false;
-    }
+    if (arg == "--help" || arg == "-h") return Rejection{"", true};
     if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "%s: unexpected positional argument '%s'\n",
-                   program_.c_str(), arg.c_str());
-      print_help();
-      return false;
+      return Rejection{
+          program_ + ": unexpected positional argument '" + arg + "'", true};
     }
     std::string name = arg.substr(2);
     std::optional<std::string> inline_value;
@@ -82,35 +88,29 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
     auto it = options_.find(name);
     if (it == options_.end()) {
-      std::fprintf(stderr, "%s: unknown option '--%s'\n", program_.c_str(),
-                   name.c_str());
-      print_help();
-      return false;
+      return Rejection{program_ + ": unknown option '--" + name + "'", true};
     }
     Option& opt = it->second;
     opt.seen = true;
     if (opt.is_flag) {
       const std::string value = inline_value.value_or("true");
       if (!is_boolean_token(value)) {
-        std::fprintf(stderr,
-                     "%s: flag '--%s' takes no value or true/false/1/0, "
-                     "got '%s'\n",
-                     program_.c_str(), name.c_str(), value.c_str());
-        return false;
+        return Rejection{program_ + ": flag '--" + name +
+                         "' takes no value or true/false/1/0, got '" + value +
+                         "'"};
       }
       opt.value = value;
     } else if (inline_value) {
       opt.value = *inline_value;
     } else {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: option '--%s' requires a value\n",
-                     program_.c_str(), name.c_str());
-        return false;
+        return Rejection{program_ + ": option '--" + name +
+                         "' requires a value"};
       }
       opt.value = argv[++i];
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 bool CliParser::flag(const std::string& name) const {

@@ -23,9 +23,21 @@ class CliParser {
   void add_option(const std::string& name, const std::string& default_value,
                   const std::string& help);
 
+  /// Why parsing stopped: --help was requested (empty message) or argv was
+  /// rejected (message, prefixed with the program name).
+  struct Rejection {
+    std::string message;
+    bool show_help = false;  ///< parse() prints the help text after it
+  };
+
   /// Parses argv. Returns false if --help was requested (help printed) or an
   /// error occurred (message printed); callers should exit in that case.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
+
+  /// parse() without printing: std::nullopt when argv parsed, otherwise why
+  /// it stopped. For callers that report the rejection themselves.
+  [[nodiscard]] std::optional<Rejection> parse_quiet(int argc,
+                                                     const char* const* argv);
 
   [[nodiscard]] bool flag(const std::string& name) const;
   [[nodiscard]] std::string str(const std::string& name) const;

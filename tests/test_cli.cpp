@@ -177,5 +177,49 @@ TEST(Cli, HelpReturnsFalse) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
+TEST(Cli, ParseQuietReturnsTheRejectionParsePrints) {
+  CliParser ok = make_parser();
+  const char* argv_ok[] = {"prog", "--full", "--scale=0.25"};
+  EXPECT_FALSE(ok.parse_quiet(3, argv_ok).has_value());
+  EXPECT_TRUE(ok.flag("full"));
+  EXPECT_DOUBLE_EQ(ok.real("scale"), 0.25);
+
+  CliParser flag = make_parser();
+  const char* argv_flag[] = {"prog", "--full=yes"};
+  const auto bad_flag = flag.parse_quiet(2, argv_flag);
+  ASSERT_TRUE(bad_flag.has_value());
+  EXPECT_EQ(bad_flag->message,
+            "prog: flag '--full' takes no value or true/false/1/0, got 'yes'");
+  EXPECT_FALSE(bad_flag->show_help);
+
+  CliParser missing = make_parser();
+  const char* argv_missing[] = {"prog", "--scale"};
+  const auto no_value = missing.parse_quiet(2, argv_missing);
+  ASSERT_TRUE(no_value.has_value());
+  EXPECT_EQ(no_value->message, "prog: option '--scale' requires a value");
+  EXPECT_FALSE(no_value->show_help);
+
+  CliParser unknown = make_parser();
+  const char* argv_unknown[] = {"prog", "--bogus"};
+  const auto bogus = unknown.parse_quiet(2, argv_unknown);
+  ASSERT_TRUE(bogus.has_value());
+  EXPECT_EQ(bogus->message, "prog: unknown option '--bogus'");
+  EXPECT_TRUE(bogus->show_help);
+
+  CliParser positional = make_parser();
+  const char* argv_positional[] = {"prog", "oops"};
+  const auto stray = positional.parse_quiet(2, argv_positional);
+  ASSERT_TRUE(stray.has_value());
+  EXPECT_EQ(stray->message, "prog: unexpected positional argument 'oops'");
+  EXPECT_TRUE(stray->show_help);
+
+  CliParser help = make_parser();
+  const char* argv_help[] = {"prog", "-h"};
+  const auto asked = help.parse_quiet(2, argv_help);
+  ASSERT_TRUE(asked.has_value());
+  EXPECT_TRUE(asked->message.empty());
+  EXPECT_TRUE(asked->show_help);
+}
+
 }  // namespace
 }  // namespace sweep::util

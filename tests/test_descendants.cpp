@@ -80,6 +80,8 @@ TEST(ExactDescendants, TiledMatchesReferenceOnRandomDags) {
 
 TEST(ExactDescendants, TiledSpansSeveralStrips) {
   // 1500 nodes take three 512-column strips, so strip reuse is exercised.
+  // Strip [c0, c1) walks only the rows below c1: 512 + 1024 + 1500 row
+  // visits, where walking every row in every strip would take 3 * 1500.
   util::Rng rng(4);
   const SweepInstance g =
       test::one_direction(random_layered_dag(1500, 12, 2.0, rng));
@@ -91,6 +93,7 @@ TEST(ExactDescendants, TiledSpansSeveralStrips) {
 #if !defined(SWEEP_OBS_DISABLE)
   obs::set_metrics_enabled(false);
   EXPECT_EQ(test::counter_value_of("descendants.tiled.strips"), 3u);
+  EXPECT_EQ(test::counter_value_of("descendants.tiled.rows"), 3036u);
 #endif
   EXPECT_EQ(tiled, exact_descendant_counts_reference(g, 0));
 }
